@@ -89,7 +89,7 @@ PhaseTimes Measure(const CacheConfig& cfg, uint64_t seed, uint64_t reps) {
   uint64_t sink = 0;
 
   // Hit leg: Touch over resident lines (every probe hits, replacement
-  // state updates every time — the FastForwardOps L1-hit leg).
+  // state updates every time — the L1-hit branch of Core::LineLoad).
   auto t0 = std::chrono::steady_clock::now();
   for (uint64_t r = 0; r < reps; ++r) {
     for (const uint64_t addr : resident) {

@@ -99,89 +99,6 @@ class SetAssocCache {
     return GlobalSetOf(line_addr) >> stride_shift_;
   }
 
-  // Host-side prefetch of the set's SetBlock base line — scalars plus the
-  // leading tags, i.e. everything a hinted lookup reads — and the hinted
-  // way's metadata record, the line a hit will dereference. Skewed access
-  // streams re-hit hot ways far more often than 1/ways, so the two lines
-  // cover the common case; a hint miss pulls the remaining tag lines on
-  // demand (they are adjacent in the same block, unlike the old parallel
-  // arrays). A pure hardware hint: no simulated or replacement state
-  // changes, safe to call for any line regardless of residency or locking.
-  void PrefetchSet(uint64_t line_addr) const {
-    const unsigned char* blk = Block(SetIndexOf(line_addr));
-    __builtin_prefetch(blk, 0, 2);
-    const uint8_t hint = ScalarsIn(blk).way_hint;
-    if (hint != kNoHint) {
-      __builtin_prefetch(blk + meta_offset_ + hint * sizeof(CacheLineMeta), 1,
-                         2);
-    }
-  }
-
-  // Host-side prefetch of the SetBlock header (scalars, tags, ages) by
-  // raw address arithmetic — reads NOTHING from the block, so it can be
-  // issued for a stone-cold set without stalling the issuing op. No
-  // simulated or replacement state changes; safe for any line regardless
-  // of residency. Pure hardware hint, like PrefetchSet.
-  void PrefetchSetHeader(uint64_t line_addr) const {
-    const unsigned char* blk = Block(SetIndexOf(line_addr));
-    for (uint64_t b = 0; b < meta_offset_; b += kSetBlockAlign) {
-      __builtin_prefetch(blk + b, 1, 2);
-    }
-  }
-
-  // Host-side prefetch of the whole header plus the hinted meta record. A
-  // miss-dominated stream defeats the hinted two-line PrefetchSet: the
-  // full tag scan a miss performs walks every tag line, and each uncovered
-  // line is a dependent host-memory stall. Callers gate it on an observed
-  // miss-heavy phase so hit-dominated streams keep the cheap variant.
-  // Pure hardware hint, like PrefetchSet.
-  void PrefetchSetAll(uint64_t line_addr) const {
-    const unsigned char* blk = Block(SetIndexOf(line_addr));
-    for (uint64_t b = 0; b < meta_offset_; b += kSetBlockAlign) {
-      __builtin_prefetch(blk + b, 1, 2);
-    }
-    const uint8_t hint = ScalarsIn(blk).way_hint;
-    if (hint != kNoHint) {
-      __builtin_prefetch(blk + meta_offset_ + hint * sizeof(CacheLineMeta), 1,
-                         2);
-    }
-  }
-
-  // Host-side peek at the line Insert would evict, for prefetching the
-  // victim's downstream state before the (long) device leg runs. Only
-  // policies whose victim choice is a pure function of current state can
-  // be peeked (kTreePlru, kLru, kFifo); kRandom/kQuadAge draw from the
-  // per-set RNG, which a peek must not advance, so they return nullptr
-  // (as does a set with a free way: its victim is invalid, no writeback).
-  // Const and mutation-free — a wrong or missing peek costs nothing.
-  const CacheLineMeta* PeekVictimMeta(uint64_t line_addr) const {
-    const unsigned char* blk = Block(SetIndexOf(line_addr));
-    if (ScalarsIn(blk).valid_count < config_.ways) {
-      return nullptr;
-    }
-    uint32_t way;
-    switch (config_.policy) {
-      case ReplacementPolicy::kTreePlru:
-        way = PlruVictim(blk);
-        break;
-      case ReplacementPolicy::kLru:
-      case ReplacementPolicy::kFifo: {
-        const CacheLineMeta* base = MetaIn(blk);
-        way = 0;
-        for (uint32_t w = 1; w < config_.ways; ++w) {
-          if (base[w].stamp < base[way].stamp) {
-            way = w;
-          }
-        }
-        break;
-      }
-      default:
-        return nullptr;
-    }
-    const CacheLineMeta* meta = &MetaIn(blk)[way];
-    return meta->valid ? meta : nullptr;
-  }
-
   // Probe without updating replacement state. Returns nullptr on miss.
   // (Defined inline below — FindWay dominates every simulated access.)
   //

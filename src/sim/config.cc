@@ -47,6 +47,25 @@ void CacheConfig::Validate(const char* what) const {
   }
 }
 
+void DeviceConfig::Validate(const char* what) const {
+  if (kind != DeviceKind::kPmem) {
+    return;
+  }
+  if (internal_buffer_blocks == 0 ||
+      internal_buffer_blocks > kPmemMaxBufferBlocks) {
+    Invalid(what, "internal_buffer_blocks must be in [1, " +
+                      std::to_string(kPmemMaxBufferBlocks) +
+                      "] (uint16_t slot ids), got " +
+                      std::to_string(internal_buffer_blocks));
+  }
+  if (internal_block_size == 0 || internal_block_size > kPmemMaxBlockBytes) {
+    Invalid(what, "internal_block_size must be in [1, " +
+                      std::to_string(kPmemMaxBlockBytes) +
+                      "] (8-bit written-line mask), got " +
+                      std::to_string(internal_block_size));
+  }
+}
+
 MachineConfig MachineA(uint32_t num_cores) {
   MachineConfig m;
   m.name = "machine-A";

@@ -72,6 +72,14 @@ struct CacheConfig {
   void Validate(const char* what) const;
 };
 
+// ---- PMEM XPBuffer limits (PmemDevice, src/sim/device.h) ----
+// Slot ids are uint16_t with 0xffff reserved for an empty index entry, so a
+// module buffers at most kPmemMaxBufferBlocks blocks.
+inline constexpr uint32_t kPmemMaxBufferBlocks = 0xfffe;
+// Each block tracks which of its 64-byte lines were written in an 8-bit
+// mask, so a block holds at most 8 of them.
+inline constexpr uint32_t kPmemMaxBlockBytes = 8 * 64;
+
 enum class DeviceKind : uint8_t {
   kDram,
   kPmem,       // Optane-like: internal write granularity > CPU line size
@@ -112,11 +120,15 @@ struct DeviceConfig {
   // scan, eager per-DIMM backlog walk, per-line writeback trains — see
   // src/sim/reference_device.h) instead of the indexed fast path. The two
   // must produce bit-identical machine digests; equivalence suites and the
-  // tier-1 miss-heavy smoke run both and compare. Reference-path runs also
-  // disable the analytical fast-forward at the call sites that honor this
-  // flag (sim_throughput_cli --device-path=reference), giving a fully
-  // interpreted A/B baseline.
+  // tier-1 miss-heavy smoke (sim_throughput_cli --device-path=reference)
+  // run both and compare.
   bool reference_impl = false;
+
+  // Throws std::invalid_argument (message prefixed with `what`) if the
+  // device cannot be modelled. For kPmem: internal_buffer_blocks must be in
+  // [1, kPmemMaxBufferBlocks] and internal_block_size in
+  // [1, kPmemMaxBlockBytes]. Every Device runs it at construction.
+  void Validate(const char* what) const;
 };
 
 // How the core drains its store buffer (private write buffers, §4.2).

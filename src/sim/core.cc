@@ -24,8 +24,6 @@ void Core::RefreshFastPathFlags() {
                    std::memory_order_release);
   lock_free_.store(machine_->exclusive_execution(),
                    std::memory_order_release);
-  fast_forward_.store(machine_->fast_forward_enabled(),
-                      std::memory_order_release);
   AccessSampleHook* sampler = machine_->access_sample_hook();
   sampler_fast_.store(sampler, std::memory_order_release);
   const uint32_t period = sampler != nullptr ? sampler->SamplePeriod() : 0;
@@ -309,284 +307,6 @@ void Core::LineStore(uint64_t line_addr) {
       SbInsert(line_addr);
     }
   }
-}
-
-// How far ahead of the op cursor the fast-forward loop warms host caches.
-// Far enough to cover a host memory round trip at ~tens of ns/op, near
-// enough that the prefetched lines are not evicted again before use.
-constexpr size_t kPrefetchAhead = 12;
-
-size_t Core::FastForwardOps(const ReplayOp* ops, size_t n,
-                            uint64_t deadline) {
-  // Run-level hazards: any observer (trace sink, pre-store hook, access
-  // sampler) must see every op at full fidelity, so an observed run never
-  // fast-forwards.
-  if (n == 0 || !fast_forward_.load(std::memory_order_relaxed) ||
-      sink_fast_.load(std::memory_order_acquire) != nullptr || HasHooks() ||
-      sample_period_ != 0) {
-    return 0;
-  }
-  const uint64_t ls = config_.line_size;
-  const uint64_t line_mask = ls - 1;
-  const uint64_t hit_latency = config_.l1.hit_latency;
-  // The L1-miss legs (LLC-hit load, store publication) additionally need:
-  // exclusive execution (they touch shared LLC state without the shard
-  // lock) and an empty store buffer (so the slow path's forwarding / drain
-  // interactions are provably no-ops; always empty under eager TSO). The
-  // buffer cannot grow inside the loop (no leg inserts into it), so one
-  // check up front covers the whole run. The write-combining queue is NOT
-  // required to be empty — completed entries linger until lazily popped —
-  // but an entry MATCHING the op's line means the slow path would join the
-  // in-flight writeback (WaitPendingWriteback erases it and may advance
-  // the clock), so each leg scans for a match and bails on one; a
-  // non-matching scan mutates nothing on either path.
-  const bool miss_legs = LockFree() && sb_.empty();
-  const bool tso = config_.drain == StoreDrainPolicy::kEagerTso;
-  // Accumulate in locals and charge once at exit: the loop body is a probe,
-  // a compare, and register bumps — no member traffic per op.
-  uint64_t now = now_;
-  uint64_t loads = 0;
-  uint64_t stores = 0;
-  uint64_t l1_hits_n = 0;
-  uint64_t l1_misses_n = 0;
-  uint64_t cycles_load_miss = 0;
-  uint64_t publishes = 0;
-  uint64_t publish_latency_sum = 0;
-  size_t i = 0;
-  {
-    // One lock acquisition covers the whole run (elided entirely in
-    // exclusive execution). Callers bound `n`, so in concurrent runs the
-    // hold time stays short (see kFastForwardChunk in replay.h).
-    OptionalLockGuard lock(l1_mu_, LockFree());
-    for (; i < n; ++i) {
-      if (now >= deadline) {
-        break;  // quantum exhausted: the op belongs to a later slice
-      }
-      const ReplayOp& op = ops[i];
-      // The trace is pre-generated, so the lines future ops touch are
-      // known: warm the host caches for the op kPrefetchAhead slots out
-      // while this one executes. Once the simulated working set outgrows
-      // the host LLC, the engine is bound by dependent host misses on the
-      // shard tag/meta arrays and the backing data — overlapping them
-      // across ops is worth more than any instruction-level tuning here.
-      if (i + kPrefetchAhead < n) {
-        const ReplayOp& ahead = ops[i + kPrefetchAhead];
-        if (ahead.kind != ReplayOpKind::kClean) {
-          // Deep (whole-header) prefetch once the recent stream has been
-          // miss-dominated: a miss walks the full tag array, which the
-          // hinted prefetch doesn't cover. The score is host-side state
-          // feeding a pure hardware hint, so its phase lag is harmless.
-          // Host data bytes are only touched by stores (loads are
-          // timing-only here), so loads skip that fetch entirely.
-          machine_->PrefetchForAccess(
-              ahead.addr, deep_prefetch_score_ >= 16,
-              /*host_data=*/ahead.kind == ReplayOpKind::kStore);
-        }
-      }
-      if (op.kind == ReplayOpKind::kClean ||
-          (op.addr & line_mask) + 8 > ls) {
-        break;  // cleans and line-straddling ops take the slow path
-      }
-      if (op.kind == ReplayOpKind::kStore) {
-        // The slow path consults the write-combining queue BEFORE the L1
-        // probe (an in-flight writeback of this line must be joined), so a
-        // matching entry disqualifies the op before any replacement-state
-        // update. Probe (no replacement update) first, Touch only once the
-        // op is known eligible — a bail-out must leave LRU/PLRU stamps
-        // exactly as the slow path's first touch will set them.
-        if (wc_filter_[WcSlot(op.addr)] != 0) {
-          bool pending = false;
-          for (const WcEntry& e : wc_) {
-            if (e.line_addr == op.addr) {
-              pending = true;
-              break;
-            }
-          }
-          if (pending) {
-            break;
-          }
-        }
-        CacheLineMeta* meta = l1_.Probe(op.addr);
-        if (meta != nullptr && meta->exclusive) {
-          l1_.Touch(op.addr);
-          meta->dirty = true;
-          now += kStoreIssueCost;
-          deep_prefetch_score_ -= (deep_prefetch_score_ != 0);
-          ++stores;
-          // Functional store, same value pattern the replay driver writes.
-          const uint64_t v = ReplayStoreValue(op.addr);
-          std::memcpy(machine_->HostPtr(op.addr), &v, 8);
-          continue;
-        }
-        // Store-publication leg: L1 miss or shared hit, TSO. The slow path
-        // is LineStore -> PublishLine -> LlcAccess(kWrite) -> FillL1; when
-        // the LLC access is trivial — a TryFastLlcHit hit, or a genuine
-        // miss FastLlcMiss may commit analytically — that chain reduces to
-        // the exact sequence below. On a hit the LLC commit runs before
-        // the L1 touches (a hit mutates no L1 state, so the structures are
-        // disjoint and the final state identical) because a bailing probe
-        // must mutate nothing. On a miss the commit runs between
-        // PublishLine's probe and its FillL1 — exactly where the slow
-        // path's LlcAccess (and its victim back-invalidation, which CAN
-        // touch this L1) runs. Replacement exactness: the slow path
-        // touches the L1 line three times (LineStore's probe, PublishLine's
-        // probe, FillL1) — so does this leg.
-        if (!miss_legs || !tso) {
-          break;
-        }
-        uint64_t t;
-        const Machine::FastLlc sr = machine_->TryFastLlcHit(
-            id_, op.addr, Machine::AccessMode::kWrite,
-            now + kStoreIssueCost, &t);
-        if (sr == Machine::FastLlc::kBail ||
-            (sr == Machine::FastLlc::kMiss &&
-             !machine_->FastMissEligible(op.addr, /*is_write=*/true))) {
-          break;
-        }
-        l1_.Touch(op.addr);  // LineStore's probe (hit updates replacement)
-        now += kStoreIssueCost;
-        l1_.Touch(op.addr);  // PublishLine's probe
-        if (sr == Machine::FastLlc::kMiss) {
-          deep_prefetch_score_ =
-              deep_prefetch_score_ > 56 ? 64 : deep_prefetch_score_ + 8;
-          // Warm the L1 victim's LLC set before the device leg so the
-          // L1VictimWriteback probe below doesn't stall on it (host-only
-          // peek; a wrong or impossible peek costs nothing).
-          if (const CacheLineMeta* pv = l1_.PeekVictimMeta(op.addr)) {
-            machine_->PrefetchHeadersForAccess(pv->line_addr);
-          }
-          // Analytical LLC-miss commit (stores are never streamed: the
-          // slow path calls LlcAccess with the default streamed=false).
-          t = machine_->FastLlcMiss(id_, op.addr, Machine::AccessMode::kWrite,
-                                    now, /*streamed=*/false);
-        }
-        // PublishLine's FillL1(line, exclusive=true, dirty=true).
-        CacheLineMeta* fill = l1_.Touch(op.addr);
-        if (fill != nullptr) {
-          fill->exclusive = true;
-          fill->dirty = true;
-        } else {
-          SetAssocCache::Victim victim =
-              l1_.Insert(op.addr, /*dirty=*/true, &fill);
-          fill->exclusive = true;
-          if (victim.valid) {
-            machine_->L1VictimWriteback(id_, victim.line_addr, victim.dirty,
-                                        now);
-          }
-        }
-        publish_latency_sum += t - now;
-        ++publishes;
-        now_ = now;  // PushBg reads and may advance the member clock
-        PushBg(t);
-        now = now_;
-        ++stores;
-        const uint64_t v = ReplayStoreValue(op.addr);
-        std::memcpy(machine_->HostPtr(op.addr), &v, 8);
-      } else {
-        if (l1_.Touch(op.addr) != nullptr) {
-          now += hit_latency;
-          deep_prefetch_score_ -= (deep_prefetch_score_ != 0);
-          ++loads;
-          ++l1_hits_n;
-          continue;
-        }
-        // LLC-hit load leg: the slow path is LineLoad -> LlcAccess(kRead)
-        // -> FillL1; with no in-flight writeback of this line, no recent NT
-        // write, and a trivial LLC hit it reduces to the sequence below. A
-        // failed L1 Touch mutates nothing, so bailing here still leaves
-        // the slow path a bit-identical starting state.
-        if (!miss_legs || RecentlyNtWritten(op.addr)) {
-          break;
-        }
-        if (wc_filter_[WcSlot(op.addr)] != 0) {
-          bool pending = false;
-          for (const WcEntry& e : wc_) {
-            if (e.line_addr == op.addr) {
-              pending = true;
-              break;
-            }
-          }
-          if (pending) {
-            break;  // the slow path joins the in-flight writeback
-          }
-        }
-        uint64_t t;
-        const Machine::FastLlc lr = machine_->TryFastLlcHit(
-            id_, op.addr, Machine::AccessMode::kRead, now, &t);
-        if (lr == Machine::FastLlc::kBail ||
-            (lr == Machine::FastLlc::kMiss &&
-             !machine_->FastMissEligible(op.addr, /*is_write=*/false))) {
-          break;
-        }
-        ++l1_misses_n;
-        // LineLoad's stream-detector update, verbatim. On the LLC-miss leg
-        // it runs BEFORE the device access — the slow path's order, and
-        // `streamed` feeds the discount. On the hit leg it runs after the
-        // commit in TryFastLlcHit, which is equivalent: the discount never
-        // applies to hits, and the stream table and the LLC are disjoint,
-        // so updating after the commit leaves the same final state as the
-        // slow path's update-before-access order.
-        bool streamed = false;
-        for (size_t s = 0; s < kMissStreams; ++s) {
-          if (miss_streams_[s] + ls == op.addr) {
-            miss_streams_[s] = op.addr;
-            streamed = true;
-            break;
-          }
-        }
-        if (!streamed) {
-          miss_streams_[next_stream_] = op.addr;
-          next_stream_ = (next_stream_ + 1) % kMissStreams;
-        }
-        if (lr == Machine::FastLlc::kMiss) {
-          deep_prefetch_score_ =
-              deep_prefetch_score_ > 56 ? 64 : deep_prefetch_score_ + 8;
-          // Warm the L1 victim's LLC set before the device leg (see the
-          // store leg) — the fill insert below will evict it and probe
-          // its LLC set in L1VictimWriteback.
-          if (const CacheLineMeta* pv = l1_.PeekVictimMeta(op.addr)) {
-            machine_->PrefetchHeadersForAccess(pv->line_addr);
-          }
-          // Analytical LLC-miss commit (the exact LlcAccess miss
-          // sequence, including the victim back-invalidation that may
-          // remove an unrelated line from this L1 — before the fill
-          // insert below, as on the slow path).
-          t = machine_->FastLlcMiss(id_, op.addr, Machine::AccessMode::kRead,
-                                    now, streamed);
-        }
-        cycles_load_miss += t - now;
-        now = t;
-        // FillL1(line, exclusive=false, dirty=false): the line is absent
-        // (the probe above just missed, and the only L1 mutation since —
-        // a miss leg's victim back-invalidation — only removes lines), so
-        // the slow path's present-check Touch would be a mutation-free
-        // miss — skip straight to the insert.
-        CacheLineMeta* fill = nullptr;
-        SetAssocCache::Victim victim =
-            l1_.Insert(op.addr, /*dirty=*/false, &fill);
-        fill->exclusive = false;
-        if (victim.valid) {
-          machine_->L1VictimWriteback(id_, victim.line_addr, victim.dirty,
-                                      now);
-        }
-        ++loads;
-      }
-    }
-  }
-  // Replay the deferred eviction-writeback admission notes before anything
-  // else (slow path, next slice, stats) can observe the queue. Empty
-  // whenever no miss leg deferred work this run.
-  FlushEvictionTrain();
-  now_ = now;
-  icount_ += i;  // one instruction per line-granular 8-byte op
-  stats_.loads += loads;
-  stats_.l1_hits += l1_hits_n;
-  stats_.l1_misses += l1_misses_n;
-  stats_.cycles_load_miss += cycles_load_miss;
-  stats_.stores += stores;
-  stats_.publishes += publishes;
-  stats_.publish_latency_sum += publish_latency_sum;
-  return i;
 }
 
 void Core::TimedAccess(SimAddr addr, size_t size, bool is_store) {

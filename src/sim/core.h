@@ -19,10 +19,8 @@
 
 #include "src/core/prestore.h"
 #include "src/sim/cache.h"
-#include "src/sim/invariant.h"
 #include "src/sim/config.h"
 #include "src/sim/hooks.h"
-#include "src/sim/replay_ops.h"
 #include "src/trace/trace.h"
 
 namespace prestore {
@@ -128,43 +126,6 @@ class Core {
 
   static constexpr size_t kEvictionWbDepth = 16;
 
-  // ---- Deferred eviction-writeback train (analytical miss legs) ----
-  //
-  // The fast-forward miss legs defer the per-eviction NoteEvictionWriteback
-  // bookkeeping into a small train and replay it in order when the run
-  // ends. This is exact only when no deferred note could overflow the
-  // bounded queue: the replay pops completed entries before each push, so
-  // the queue can only shrink relative to the conservative bound below,
-  // each replayed note returns `start` (no stall, no wbq_stall_cycles
-  // bump), and the caller's completion time — already past the access
-  // start — is unchanged. CanDeferEvictionWriteback enforces the bound;
-  // when it fails, the caller flushes the train and takes the per-line
-  // path. Device-side state is NOT deferred: the Write() reserving device
-  // bandwidth happens immediately, in program order, at the same timestamp
-  // as the per-line path.
-  bool CanDeferEvictionWriteback() const {
-    return pending_ewb_n_ < kEvictionTrainCap &&
-           ewb_size_ + pending_ewb_n_ < kEvictionWbDepth;
-  }
-
-  void DeferEvictionWriteback(uint64_t acceptance, uint64_t start) {
-    pending_ewb_[pending_ewb_n_].acceptance = acceptance;
-    pending_ewb_[pending_ewb_n_].start = start;
-    ++pending_ewb_n_;
-  }
-
-  void FlushEvictionTrain() {
-    for (uint32_t i = 0; i < pending_ewb_n_; ++i) {
-      const uint64_t proceed = NoteEvictionWriteback(
-          pending_ewb_[i].acceptance, pending_ewb_[i].start);
-      PRESTORE_INVARIANT(proceed == pending_ewb_[i].start,
-                         "deferred eviction writeback stalled; "
-                         "CanDeferEvictionWriteback bound violated");
-      (void)proceed;
-    }
-    pending_ewb_n_ = 0;
-  }
-
   // ---- Ordering operations ----
 
   // Full memory fence: publishes all private stores, waits for outstanding
@@ -177,44 +138,6 @@ class Core {
   uint64_t FetchAddU64(SimAddr addr, uint64_t delta);
   uint64_t AtomicLoadU64(SimAddr addr);   // acquire: no store drain
   void AtomicStoreU64(SimAddr addr, uint64_t value);  // release: drains stores
-
-  // ---- Analytical fast-forward (DESIGN.md §12) ----
-
-  // Executes a maximal eligible prefix of `ops` on this core without walking
-  // the full per-op timing path, and returns how many ops were consumed
-  // (possibly 0; never more than n). An op is eligible when it can be
-  // charged analytically — its cycle cost and stat deltas follow from a
-  // handful of probes with no protocol branches left open:
-  //   - a load whose line is L1-resident (cost: one L1 hit latency);
-  //   - a store whose line is L1-resident in exclusive state with no
-  //     in-flight write-combining entry for the line (cost: one issue
-  //     cycle);
-  // and, in exclusive execution only (Machine::SetExclusiveExecution) with
-  // empty write-combining and store-buffer queues:
-  //   - a load whose line is a trivial LLC hit (no foreign owner —
-  //     Machine::TryFastLlcHit), charged hit latency + fill + L1 victim
-  //     writeback;
-  //   - an eager-TSO store publication whose line is a trivial LLC write
-  //     hit (no foreign owner or sharers, non-far device), charged the
-  //     publication sequence.
-  // The run bails out to the slow path (returns early) on any other
-  // hazard: an installed trace sink or pre-store hook, a clean op, an LLC
-  // miss, coherence interaction with another core, a recently-NT-written
-  // line, a pending writeback, or a line-straddling access. Every bail-out
-  // happens before any state mutation for that op, so the slow path replays
-  // it from a bit-identical machine. Consumed ops charge their cycles,
-  // instruction counts, and stat deltas in one step at exit; the arithmetic
-  // is bit-identical to the slow path (the recorded digests in
-  // sim_determinism_test pin this).
-  //
-  // `deadline` stops the run before any op whose START time would be >=
-  // deadline — the same "begin an op only while now < deadline" rule the
-  // sliced scheduler's slow path applies per op. Because every consumed op
-  // charges exactly the slow-path cycles, a sliced replay covers the same
-  // (round, core, op) schedule whether fast-forward is on or off, so the
-  // two produce bit-identical end states (sim_stats_equiv_test pins this).
-  size_t FastForwardOps(const ReplayOp* ops, size_t n,
-                        uint64_t deadline = ~uint64_t{0});
 
   // ---- Pre-stores (the paper's contribution, §2) ----
 
@@ -320,10 +243,6 @@ class Core {
   // same reason as the fields above; per-op cost is one relaxed load.
   std::atomic<bool> lock_free_{false};
   bool LockFree() const { return lock_free_.load(std::memory_order_relaxed); }
-  // Analytical fast-forward enable (Machine::SetAnalyticalFastForward);
-  // off = every op walks the full timing path (the stats-equivalence tests
-  // compare the two).
-  std::atomic<bool> fast_forward_{true};
 
   // Sampled-access observation (Machine::SetAccessSampleHook). The period
   // is cached core-locally so the unobserved per-line cost is one plain
@@ -366,28 +285,13 @@ class Core {
   uint32_t ewb_head_ = 0;
   uint32_t ewb_size_ = 0;
 
-  // Deferred eviction-writeback notes accumulated by one fast-forward run.
-  static constexpr uint32_t kEvictionTrainCap = 8;
-  struct EvictionNote {
-    uint64_t acceptance = 0;
-    uint64_t start = 0;
-  };
-  EvictionNote pending_ewb_[kEvictionTrainCap];
-  uint32_t pending_ewb_n_ = 0;
-
-  // Host-side saturating score [0, 64] of how miss-dominated the recent
-  // fast-forward stream has been (+8 per LLC miss, -1 per L1 hit). Gates
-  // the deep whole-SetBlock prefetch variant. Feeds only hardware
-  // prefetch hints, so it carries no simulated state.
-  uint32_t deep_prefetch_score_ = 0;
-
   // Exact counting filter over wc_'s line addresses: wc_filter_[WcSlot(a)]
   // is the number of wc_ entries whose line hashes to that slot, updated at
   // every wc_ push/erase/clear. A zero slot proves the line has NO entry
-  // (no false negatives), letting the per-access pending-writeback check —
-  // the common all-clear case on both the timed path and the fast-forward
-  // legs — skip the deque scan. A nonzero slot falls back to the precise
-  // scan. Host-side accelerator only: simulated results are unchanged.
+  // (no false negatives), letting WaitPendingWriteback — run on every
+  // store and every load miss, almost always with nothing in flight — skip
+  // the deque scan. A nonzero slot falls back to the precise scan.
+  // Host-side accelerator only: simulated results are unchanged.
   static uint32_t WcSlot(uint64_t line_addr) {
     return static_cast<uint32_t>((line_addr * 0x9e3779b97f4a7c15ULL) >> 56);
   }

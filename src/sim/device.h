@@ -178,7 +178,11 @@ class BandwidthMeter {
 
 class Device {
  public:
-  explicit Device(const DeviceConfig& config) : config_(config) {}
+  // Throws std::invalid_argument for an invalid `config`
+  // (DeviceConfig::Validate), in every build type.
+  explicit Device(const DeviceConfig& config) : config_(config) {
+    config_.Validate(config_.name.c_str());
+  }
   virtual ~Device() = default;
 
   Device(const Device&) = delete;
@@ -243,10 +247,9 @@ class Device {
     fault_hook_.store(hook, std::memory_order_release);
   }
 
-  // Whether a fault-injection hook is installed. The analytical fast paths
-  // (fast-forwarded miss legs, batched writeback trains) bail to the fully
-  // interpreted engine while one is: hooks may keep per-call state, so the
-  // slow path must see every access individually.
+  // Whether a fault-injection hook is installed. The batched writeback
+  // trains (WriteTrain) fall back to per-write charging while one is: hooks
+  // may keep per-call state, so they must see every access individually.
   bool HasFaultHook() const {
     return fault_hook_.load(std::memory_order_acquire) != nullptr;
   }
@@ -322,13 +325,10 @@ class PmemDevice : public Device {
       : Device(config), dimms_(std::max(1u, config.interleave_dimms)) {
     // The index is sized for the configured capacity; buffer-pressure
     // faults only ever SHRINK the usable slot count, so the table never
-    // needs to grow mid-run.
-    const uint32_t cap = std::max(1u, config.internal_buffer_blocks);
-    // The open-addressed index stores slot ids as uint8_t with 0xff
-    // reserved for "empty"; a capacity at or past that sentinel would
-    // silently alias slots.
-    PRESTORE_INVARIANT(cap < kIndexEmpty,
-                       "internal_buffer_blocks must stay below 255");
+    // needs to grow mid-run. DeviceConfig::Validate (run by the Device
+    // constructor) keeps the capacity in [1, kPmemMaxBufferBlocks], below
+    // the kIndexEmpty sentinel.
+    const uint32_t cap = config.internal_buffer_blocks;
     uint32_t bits = 2;
     while ((1u << bits) < 4 * cap) {
       ++bits;
@@ -410,7 +410,9 @@ class PmemDevice : public Device {
   }
 
  private:
-  static constexpr uint8_t kIndexEmpty = 0xff;
+  static constexpr uint16_t kIndexEmpty = 0xffff;
+  static_assert(kPmemMaxBufferBlocks < kIndexEmpty,
+                "a slot id must never equal the empty-index sentinel");
 
   struct BufferedBlock {
     uint64_t block = 0;
@@ -440,10 +442,10 @@ class PmemDevice : public Device {
     BandwidthMeter media;
     std::mutex mu;
     std::vector<BufferedBlock> slots;
-    std::vector<uint8_t> index;  // hash(block) -> slot, kIndexEmpty = free
+    std::vector<uint16_t> index;  // hash(block) -> slot, kIndexEmpty = free
     uint64_t stamp_counter = 0;
-    uint8_t last_hit = 0;  // hint: slot of the most recent block hit
-    uint8_t valid_count = 0;
+    uint16_t last_hit = 0;  // hint: slot of the most recent block hit
+    uint16_t valid_count = 0;
   };
 
   uint32_t IndexMask(const Dimm& d) const {
@@ -455,8 +457,8 @@ class PmemDevice : public Device {
 
   // Open-addressed helpers (linear probing, backward-shift deletion). The
   // table is tiny (4x slot capacity), so clusters stay short.
-  uint8_t* IndexFind(Dimm& d, uint64_t block);
-  void IndexInsert(Dimm& d, uint64_t block, uint8_t slot);
+  uint16_t* IndexFind(Dimm& d, uint64_t block);
+  void IndexInsert(Dimm& d, uint64_t block, uint16_t slot);
   void IndexErase(Dimm& d, uint64_t block);
 
   void RecordObservedFloor(uint64_t floor) {

@@ -90,9 +90,7 @@ class PrestoreHook {
 // (Machine::SetAccessSampleHook); each core then delivers every
 // SamplePeriod()-th line-granular load/store it executes. Sampling is the
 // overhead contract: an unobserved run pays one predicted branch per line
-// access, an observed run pays one virtual call per period. Installing a
-// sampler disables analytical fast-forward (an observed run never
-// fast-forwards), exactly like trace sinks and pre-store hooks.
+// access, an observed run pays one virtual call per period.
 class AccessSampleHook {
  public:
   virtual ~AccessSampleHook() = default;

@@ -164,6 +164,47 @@ uint64_t Machine::FinishEvictionWriteback(uint8_t self, uint64_t line_addr,
   return proceed;
 }
 
+namespace {
+
+// Streamed (sequential) misses hide most of the device access time behind
+// the previous transfers, standing in for hardware stride prefetching: the
+// prefetcher issued this fetch several lines ago, so both the device
+// latency and most of its queueing are already absorbed. The device meter
+// still carries the full work (bandwidth is conserved); only the streaming
+// requester's experienced wait shrinks.
+uint64_t StreamDiscount(uint64_t start, uint64_t completion,
+                        uint32_t read_latency, bool streamed) {
+  if (!streamed || completion <= start) {
+    return completion;
+  }
+  const uint64_t total = completion - start;
+  const uint64_t floor = read_latency / 8 + 1;
+  const uint64_t discounted = total / 4 > floor ? total / 4 : floor;
+  return discounted < total ? start + discounted : completion;
+}
+
+// Directory update for the access mode; the final step of every LLC access
+// once the coherence protocol has run, under the line's shard lock.
+void ApplyAccessModeLocked(CacheLineMeta* meta, uint8_t self,
+                           Machine::AccessMode mode, bool incoming_dirty) {
+  switch (mode) {
+    case Machine::AccessMode::kRead:
+      meta->sharers |= 1ULL << self;
+      break;
+    case Machine::AccessMode::kWrite:
+      meta->sharers = 1ULL << self;
+      meta->owner = self;
+      break;
+    case Machine::AccessMode::kDemote:
+      meta->sharers &= ~(1ULL << self);
+      meta->owner = kNoOwner;
+      meta->dirty = meta->dirty || incoming_dirty;
+      break;
+  }
+}
+
+}  // namespace
+
 uint64_t Machine::LlcHitLocked(uint8_t self, uint64_t line_addr,
                                AccessMode mode, bool incoming_dirty,
                                Device& dev, bool far, CacheLineMeta* meta,

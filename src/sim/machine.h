@@ -2,7 +2,6 @@
 #ifndef SRC_SIM_MACHINE_H_
 #define SRC_SIM_MACHINE_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -142,8 +141,7 @@ class Machine {
 
   // Installs (or clears, with nullptr) the single sampled-access observer
   // (src/monitor). Same contract as the pre-store hooks: install with cores
-  // quiesced, hook outlives the run. Disables analytical fast-forward while
-  // installed (Core::FastForwardOps bails — observed runs see every op).
+  // quiesced, hook outlives the run.
   void SetAccessSampleHook(AccessSampleHook* hook) {
     access_sampler_ = hook;
     RefreshCoreFastPaths();
@@ -167,18 +165,6 @@ class Machine {
   }
   bool exclusive_execution() const {
     return exclusive_.load(std::memory_order_relaxed);
-  }
-
-  // Analytical fast-forward (Core::FastForwardOps) enable; default on.
-  // Turning it off forces every replay op down the full timing path — the
-  // fast-forward equivalence tests compare the two. Toggle only while no
-  // cores are running.
-  void SetAnalyticalFastForward(bool on) {
-    fast_forward_.store(on, std::memory_order_release);
-    RefreshCoreFastPaths();
-  }
-  bool fast_forward_enabled() const {
-    return fast_forward_.load(std::memory_order_relaxed);
   }
 
   // ---- Measurement helpers ----
@@ -259,150 +245,6 @@ class Machine {
     if (dirty) {
       DeviceFor(line_addr).Write(line_addr, config_.line_size, now);
     }
-  }
-
-  // ---- Exclusive-mode analytical fast path (Core::FastForwardOps) ----
-
-  // Outcome of the inline LLC probe below: the access either committed as
-  // a reduced hit (kHit), is a genuine LLC miss the caller may commit
-  // analytically via FastLlcMiss (kMiss), or needs the full coherence
-  // protocol (kBail — intervention, snoop, or far-memory directory work).
-  enum class FastLlc : uint8_t { kHit, kMiss, kBail };
-
-  // Tries to charge an LLC hit analytically. Eligible iff the line is
-  // LLC-resident with no FOREIGN Modified owner and, for kWrite, no
-  // foreign sharers and a non-far backing device — exactly the cases where
-  // LlcAccess's hit path reduces to {replacement touch, llc_hits bump, hit
-  // latency, directory update} with no snoop, intervention, or device
-  // work. On kHit commits that reduced hit path bit-exactly and writes
-  // the completion time (start + LLC hit latency) to `completion`. On
-  // kMiss/kBail mutates nothing but the set's way hint, so the caller
-  // (FastLlcMiss on kMiss, the full LlcAccess on kBail) replays the access
-  // from a bit-identical machine. Exclusive execution only (touches shard
-  // state without its lock); inline because it runs for nearly every L1
-  // miss of a fast-forwarded replay.
-  FastLlc TryFastLlcHit(uint8_t self, uint64_t line_addr, AccessMode mode,
-                        uint64_t start, uint64_t* completion) {
-    SetAssocCache& llc = *ShardFor(line_addr).cache;
-    CacheLineMeta* meta = llc.Probe(line_addr);
-    if (meta == nullptr) {
-      return FastLlc::kMiss;  // device read + insert + possible eviction
-    }
-    if (meta->owner != kNoOwner && meta->owner != self) {
-      return FastLlc::kBail;  // foreign Modified owner: intervention
-    }
-    if (mode == AccessMode::kWrite) {
-      if ((meta->sharers & ~(1ULL << self)) != 0) {
-        return FastLlc::kBail;  // foreign sharers: snoop + back-invalidation
-      }
-      if (meta->owner != self &&
-          DeviceFor(line_addr).config().kind == DeviceKind::kFarMemory) {
-        return FastLlc::kBail;  // upgrade needs the on-device directory
-      }
-    }
-    // Same replacement touch LlcAccess's first probe performs (the probe
-    // above left the way hint at the line, so the tag scan is one
-    // compare), then the hit path's accounting and directory update, minus
-    // the branches just proven dead.
-    llc.Touch(line_addr);
-    Bump(self, &MachineStatStripe::llc_hits);
-    ApplyAccessModeLocked(meta, self, mode, /*incoming_dirty=*/false);
-    *completion = start + config_.llc.hit_latency;
-    return FastLlc::kHit;
-  }
-
-  // Whether a TryFastLlcHit kMiss may be committed analytically by
-  // FastLlcMiss. Bails on the two miss-path hazards whose costs the
-  // analytical leg does not model: an installed device fault hook (whose
-  // time-varying multipliers belong to observed robustness runs, not
-  // fast-forwarded ones) and far-memory writes (whose misses pay a
-  // pre-read DirectoryAccess plus a dir_upgrades bump).
-  bool FastMissEligible(uint64_t line_addr, bool is_write) {
-    Device& dev = DeviceFor(line_addr);
-    if (dev.HasFaultHook()) {
-      return false;
-    }
-    if (is_write && dev.config().kind == DeviceKind::kFarMemory) {
-      return false;
-    }
-    return true;
-  }
-
-  // Commits a genuine LLC miss analytically: the exact LlcAccess miss
-  // sequence — device read, stream discount, miss accounting, insert,
-  // victim handling, directory update, eviction writeback — minus the
-  // branches exclusive execution and FastMissEligible prove dead:
-  //   * the re-probe after the (lock-elided) device read is a guaranteed
-  //     re-miss: the failed Touch in TryFastLlcHit mutated nothing and no
-  //     other thread ran, so the line cannot have appeared;
-  //   * far-write directory work is excluded by FastMissEligible.
-  // A dirty victim's device Write still happens HERE, in program order at
-  // the access start (XPBuffer state is order-sensitive); only the
-  // bounded-queue admission bookkeeping joins the core's deferred train,
-  // and only when CanDeferEvictionWriteback proves the per-line path would
-  // have returned `start` with no stall bump (see core.h). Exclusive
-  // execution only; caller checked FastMissEligible.
-  uint64_t FastLlcMiss(uint8_t self, uint64_t line_addr, AccessMode mode,
-                       uint64_t start, bool streamed) {
-    Device& dev = DeviceFor(line_addr);
-    SetAssocCache& llc = *ShardFor(line_addr).cache;
-    const uint64_t read_done = dev.Read(line_addr, config_.line_size, start);
-    uint64_t t =
-        StreamDiscount(start, read_done, dev.config().read_latency, streamed);
-    Bump(self, &MachineStatStripe::llc_misses);
-    CacheLineMeta* meta = nullptr;
-    const SetAssocCache::Victim victim = llc.Insert(line_addr, false, &meta);
-    const bool wb_owed = HandleLlcVictimLocked(self, victim);
-    ApplyAccessModeLocked(meta, self, mode, /*incoming_dirty=*/false);
-    if (wb_owed) {
-      Core& core = *cores_[self];
-      if (core.CanDeferEvictionWriteback()) {
-        const uint64_t acceptance = DeviceFor(victim.line_addr)
-                                        .Write(victim.line_addr,
-                                               config_.line_size, start);
-        core.DeferEvictionWriteback(acceptance, start);
-      } else {
-        core.FlushEvictionTrain();
-        t = std::max(t,
-                     FinishEvictionWriteback(self, victim.line_addr, start));
-      }
-    }
-    return t;
-  }
-
-  // Host-side prefetch of the simulator structures a near-future replay op
-  // will touch: the line's LLC tag/meta set arrays and its backing host
-  // data. Pure hardware hint — mutates no simulated state, so issuing it
-  // for any address (even one the op stream later skips) cannot change a
-  // result. The replay fast path calls this a fixed distance ahead of the
-  // op cursor because the engine is host-cache-miss-bound on exactly these
-  // arrays once the simulated working set outgrows the host LLC.
-  // `deep` selects the miss-oriented variant (PrefetchSetAll): a miss-leg
-  // op additionally walks the full tag array and the victim's meta record,
-  // none of which the hinted two-line prefetch covers. Callers flip it on
-  // when their recent op stream has been miss-dominated, and must have
-  // issued PrefetchHeadersForAccess for the line a beat earlier (the deep
-  // variant reads the set header to predict the victim).
-  // `host_data` additionally warms the line's backing host bytes — wanted
-  // only for ops that will actually read or write them (stores; loads are
-  // timing-only in the replay fast path), so callers can skip a whole
-  // wasted host-memory fetch per load.
-  void PrefetchForAccess(uint64_t line_addr, bool deep, bool host_data) {
-    if (deep) {
-      ShardFor(line_addr).cache->PrefetchSetAll(line_addr);
-    } else {
-      ShardFor(line_addr).cache->PrefetchSet(line_addr);
-    }
-    if (host_data) {
-      __builtin_prefetch(HostPtr(line_addr), 1, 1);
-    }
-  }
-
-  // First stage of the two-distance prefetch pipeline: pure address
-  // arithmetic, reads no simulator state, so it can run arbitrarily far
-  // ahead of the op cursor without stalling on cold lines.
-  void PrefetchHeadersForAccess(uint64_t line_addr) {
-    ShardFor(line_addr).cache->PrefetchSetHeader(line_addr);
   }
 
   uint64_t LineBaseOf(SimAddr addr) const {
@@ -512,44 +354,6 @@ class Machine {
     return llc_shards_[LlcShardIndexOf(line_addr)];
   }
 
-  // Streamed (sequential) misses hide most of the device access time
-  // behind the previous transfers, standing in for hardware stride
-  // prefetching: the prefetcher issued this fetch several lines ago, so
-  // both the device latency and most of its queueing are already absorbed.
-  // The device meter still carries the full work (bandwidth is conserved);
-  // only the streaming requester's experienced wait shrinks. Shared by
-  // LlcAccess (machine.cc) and the inline FastLlcMiss above.
-  static uint64_t StreamDiscount(uint64_t start, uint64_t completion,
-                                 uint32_t read_latency, bool streamed) {
-    if (!streamed || completion <= start) {
-      return completion;
-    }
-    const uint64_t total = completion - start;
-    const uint64_t floor = read_latency / 8 + 1;
-    const uint64_t discounted = total / 4 > floor ? total / 4 : floor;
-    return discounted < total ? start + discounted : completion;
-  }
-
-  // Directory update for the access mode; the final step of every LLC
-  // access once the coherence protocol has run.
-  static void ApplyAccessModeLocked(CacheLineMeta* meta, uint8_t self,
-                                    AccessMode mode, bool incoming_dirty) {
-    switch (mode) {
-      case AccessMode::kRead:
-        meta->sharers |= 1ULL << self;
-        break;
-      case AccessMode::kWrite:
-        meta->sharers = 1ULL << self;
-        meta->owner = self;
-        break;
-      case AccessMode::kDemote:
-        meta->sharers &= ~(1ULL << self);
-        meta->owner = kNoOwner;
-        meta->dirty = meta->dirty || incoming_dirty;
-        break;
-    }
-  }
-
   // Hit-path coherence protocol, run under the line's shard lock: hit
   // accounting, intervention on a Modified owner, snoop of other sharers on
   // non-read access, the far-memory directory upgrade, and the mode's
@@ -618,7 +422,6 @@ class Machine {
   std::vector<PrestoreHook*> prestore_hooks_;
   AccessSampleHook* access_sampler_ = nullptr;
   std::atomic<bool> exclusive_{false};
-  std::atomic<bool> fast_forward_{true};
 };
 
 // RAII scope for Machine::SetExclusiveExecution: sets the mode on entry and

@@ -73,18 +73,6 @@ class ReferenceSetAssocCache {
     return GlobalSetOf(line_addr) >> stride_shift_;
   }
 
-  void PrefetchSet(uint64_t line_addr) const {
-    const uint64_t set = SetIndexOf(line_addr);
-    const uint64_t* tags = &tags_[set * config_.ways];
-    for (uint32_t b = 0; b < config_.ways * sizeof(*tags); b += 64) {
-      __builtin_prefetch(reinterpret_cast<const char*>(tags) + b, 0, 2);
-    }
-    const uint8_t hint = way_hint_[set];
-    if (hint != kNoHint) {
-      __builtin_prefetch(&lines_[set * config_.ways + hint], 1, 2);
-    }
-  }
-
   CacheLineMeta* Probe(uint64_t line_addr) {
     const uint64_t set = SetIndexOf(line_addr);
     const uint32_t w = FindWay(set, line_addr);

@@ -15,13 +15,12 @@
 //    calling host thread — bit-deterministic for a fixed seed, the basis of
 //    the determinism digests in tests/sim_determinism_test.cc and the
 //    benchmark's self-check.
-// Straight-line runs of guaranteed-L1-hit ops are batch-charged via
-// Core::FastForwardOps in every mode (disable with
-// Machine::SetAnalyticalFastForward(false)).
+// In every mode each op goes through the core's ordinary per-line timing
+// path (LoadU64 / StoreU64 / Prestore), the same path every other workload
+// takes.
 #ifndef SRC_SIM_REPLAY_H_
 #define SRC_SIM_REPLAY_H_
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -29,12 +28,23 @@
 
 #include "src/sim/harness.h"
 #include "src/sim/machine.h"
-#include "src/sim/replay_ops.h"
 #include "src/sim/scheduler.h"
 #include "src/util/rng.h"
 #include "src/util/zipf.h"
 
 namespace prestore {
+
+enum class ReplayOpKind : uint8_t {
+  kLoad,   // one line-granular 8-byte load
+  kStore,  // one line-granular 8-byte store
+  kClean,  // clean pre-store sweep over [addr, addr + size)
+};
+
+struct ReplayOp {
+  uint64_t addr = 0;
+  uint32_t size = 0;  // kClean only: bytes covered by the sweep
+  ReplayOpKind kind = ReplayOpKind::kLoad;
+};
 
 struct ReplayTraceConfig {
   uint32_t workers = 4;
@@ -179,7 +189,7 @@ inline void RunOne(Core& core, const ReplayOp& op) {
       core.LoadU64(op.addr);
       break;
     case ReplayOpKind::kStore:
-      core.StoreU64(op.addr, ReplayStoreValue(op.addr));
+      core.StoreU64(op.addr, op.addr ^ 0x5aa5a55aULL);
       break;
     case ReplayOpKind::kClean:
       core.Prestore(op.addr, op.size, PrestoreOp::kClean);
@@ -187,29 +197,9 @@ inline void RunOne(Core& core, const ReplayOp& op) {
   }
 }
 
-// Upper bound on ops handed to one FastForwardOps call in concurrent mode,
-// where the core's L1 mutex is held for the whole batch: keeps the hold
-// time short enough that other cores' back-invalidations and interventions
-// are not starved. Exclusive-mode callers (sequential/sliced) elide the
-// lock entirely, so the bound costs them only a loop re-entry per chunk.
-constexpr size_t kFastForwardChunk = 1024;
-
 inline void RunOps(Core& core, const std::vector<ReplayOp>& ops) {
-  const ReplayOp* p = ops.data();
-  const size_t n = ops.size();
-  size_t i = 0;
-  while (i < n) {
-    const size_t chunk = std::min(n - i, kFastForwardChunk);
-    const size_t done = core.FastForwardOps(p + i, chunk);
-    i += done;
-    if (done == chunk) {
-      continue;  // the whole chunk fast-forwarded; keep going
-    }
-    // ops[i] hit a fast-forward hazard (miss, clean, pending writeback,
-    // non-exclusive store target, or fast-forward is off): run it — and
-    // only it — on the full-fidelity path, then resume fast-forwarding.
-    RunOne(core, p[i]);
-    ++i;
+  for (const ReplayOp& op : ops) {
+    RunOne(core, op);
   }
 }
 
@@ -282,24 +272,13 @@ inline ReplayResult ReplaySliced(Machine& machine, const ReplayTrace& trace,
     const std::vector<ReplayOp>& ops = trace.per_worker[w];
     sched.Enqueue(w, [&ops, i = size_t{0}](Core& core,
                                            uint64_t deadline) mutable {
-      const ReplayOp* p = ops.data();
-      const size_t n = ops.size();
-      // Both paths start an op only while now < deadline, and a
-      // fast-forwarded op charges exactly the slow-path cycles, so the
-      // slice covers the same op range whether fast-forward is on or off
-      // (the end state is bit-identical either way; sim_stats_equiv_test).
-      while (i < n && core.now() < deadline) {
-        i += core.FastForwardOps(p + i, n - i, deadline);
-        if (i >= n || core.now() >= deadline) {
-          break;
-        }
-        // ops[i] stopped the fast-forward on a hazard (miss, clean,
-        // pending writeback, ...): run it — and only it — at full
-        // fidelity, then resume fast-forwarding.
-        replay_internal::RunOne(core, p[i]);
+      // An op starts only while the core's clock is before the deadline;
+      // the one that crosses it finishes in this slice.
+      while (i < ops.size() && core.now() < deadline) {
+        replay_internal::RunOne(core, ops[i]);
         ++i;
       }
-      return i >= n;
+      return i >= ops.size();
     });
   }
   const uint64_t start_cycles = machine.GlobalTime();

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "src/sim/config.h"
+#include "src/sim/device.h"
 
 namespace prestore {
 namespace {
@@ -141,6 +143,63 @@ TEST(CacheConfigValidate, SetBlockGeometryMatchesLayoutRules) {
     EXPECT_EQ(SetBlockHeaderBytes(ways) % kSetBlockAlign, 0u) << ways;
     EXPECT_EQ(SetBlockBytes(ways) % kSetBlockAlign, 0u) << ways;
   }
+}
+
+// DeviceConfig::Validate guards the PMEM XPBuffer model: slot ids are
+// uint16_t with a reserved empty sentinel, and the per-block written-line
+// mask is 8 bits. It runs in every build type, at device construction.
+TEST(DeviceConfigValidate, AcceptsEveryPreset) {
+  for (const MachineConfig& m :
+       {MachineA(), MachineBFast(), MachineBSlow(), MachineACxlSsd()}) {
+    EXPECT_NO_THROW(m.dram.Validate("dram")) << m.name;
+    EXPECT_NO_THROW(m.target.Validate("target")) << m.name;
+  }
+}
+
+TEST(DeviceConfigValidate, RejectsZeroBufferBlocks) {
+  DeviceConfig d = MachineA().target;
+  d.internal_buffer_blocks = 0;
+  EXPECT_THROW(d.Validate("target"), std::invalid_argument);
+}
+
+TEST(DeviceConfigValidate, RejectsBufferBlocksPastSlotIdRange) {
+  DeviceConfig d = MachineA().target;
+  d.internal_buffer_blocks = kPmemMaxBufferBlocks + 1;
+  try {
+    d.Validate("target");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("internal_buffer_blocks"),
+              std::string::npos)
+        << e.what();
+  }
+  // The largest bench sweep point and the slot-id limit itself are fine.
+  d.internal_buffer_blocks = 1024;
+  EXPECT_NO_THROW(d.Validate("target"));
+  d.internal_buffer_blocks = kPmemMaxBufferBlocks;
+  EXPECT_NO_THROW(d.Validate("target"));
+}
+
+TEST(DeviceConfigValidate, RejectsZeroBlockSize) {
+  DeviceConfig d = MachineA().target;
+  d.internal_block_size = 0;
+  EXPECT_THROW(d.Validate("target"), std::invalid_argument);
+}
+
+TEST(DeviceConfigValidate, RejectsBlockSizePastWrittenMask) {
+  DeviceConfig d = MachineA().target;
+  d.internal_block_size = 1024;  // 16 lines: lines 8..15 would be dropped
+  EXPECT_THROW(d.Validate("target"), std::invalid_argument);
+  d.internal_block_size = kPmemMaxBlockBytes;  // the CXL-SSD preset's 512 B
+  EXPECT_NO_THROW(d.Validate("target"));
+}
+
+TEST(DeviceConfigValidate, DeviceConstructionRejectsOversizedBuffer) {
+  MachineConfig m = MachineA(1);
+  m.target.internal_buffer_blocks = kPmemMaxBufferBlocks + 1;
+  EXPECT_THROW(MakeDevice(m.target), std::invalid_argument);
+  m.target.reference_impl = true;
+  EXPECT_THROW(MakeDevice(m.target), std::invalid_argument);
 }
 
 }  // namespace

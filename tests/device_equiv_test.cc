@@ -1,11 +1,11 @@
-// The miss-leg fast path's whole-machine digest contract: the production
-// engine (closed-form device charging, batched writeback/refill trains,
-// analytical LLC-miss fast-forward) must produce BIT-IDENTICAL simulated
-// end state to the reference configuration (naive event-at-a-time device
-// meters, fast-forward disabled) — across every replacement policy the
-// LLC can be configured with and under both deterministic schedulers. A
-// single diverging cycle count, eviction choice, or media byte lands here
-// as a digest mismatch before it can reach a recorded benchmark.
+// The device layer's whole-machine digest contract: the production devices
+// (closed-form device charging, batched writeback trains, hinted PMEM block
+// index) must produce BIT-IDENTICAL simulated end state to the reference
+// devices (naive event-at-a-time meters, src/sim/reference_device.h) —
+// across every replacement policy the LLC can be configured with and under
+// both deterministic schedulers. A single diverging cycle count, eviction
+// choice, or media byte lands here as a digest mismatch before it can reach
+// a recorded benchmark.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,8 +19,8 @@ namespace {
 
 // Miss-heavy, store-heavy, clean-carrying trace: the private arena's cold
 // tail busts the 2MB LLC so the run spends most of its time on the
-// miss/eviction/writeback legs the fast path rebuilt, while the hot head
-// keeps enough hits flowing to exercise the fast-forward hit legs too.
+// miss/eviction/writeback legs that drive the devices, while the hot head
+// keeps enough hits flowing to interleave buffered and media traffic.
 ReplayTraceConfig MissyTrace(uint32_t workers) {
   ReplayTraceConfig cfg;
   cfg.workers = workers;
@@ -48,9 +48,6 @@ uint64_t RunDigest(ReplacementPolicy policy, bool reference, Mode mode,
     mc.target.reference_impl = true;
   }
   Machine machine(mc);
-  if (reference) {
-    machine.SetAnalyticalFastForward(false);
-  }
   const ReplayTrace trace = GenerateReplayTrace(machine, MissyTrace(workers));
   if (mode == Mode::kSliced) {
     ReplaySlicedOptions options;
@@ -104,30 +101,6 @@ TEST(DeviceEquiv, FastMatchesReferenceAllPoliciesSliced) {
         RunDigest(policy, /*reference=*/true, Mode::kSliced, 4);
     EXPECT_EQ(fast, ref) << "policy " << PolicyName(policy)
                          << ": fast-path digest diverged from reference";
-  }
-}
-
-TEST(DeviceEquiv, FastForwardAloneMatchesSlowPath) {
-  // Narrower bisection aid: production devices on BOTH sides, only the
-  // analytical fast-forward toggled. A failure here with the full-contract
-  // tests passing points at the device layer instead of the core FF legs.
-  for (ReplacementPolicy policy :
-       {ReplacementPolicy::kQuadAge, ReplacementPolicy::kTreePlru}) {
-    MachineConfig mc = MachineA(2);
-    mc.llc.policy = policy;
-    Machine ff_machine(mc);
-    const ReplayTrace trace =
-        GenerateReplayTrace(ff_machine, MissyTrace(2));
-    ReplaySequential(ff_machine, trace);
-    const uint64_t ff_digest = DigestMachine(ff_machine, 2);
-
-    Machine slow_machine(mc);
-    slow_machine.SetAnalyticalFastForward(false);
-    const ReplayTrace slow_trace =
-        GenerateReplayTrace(slow_machine, MissyTrace(2));
-    ReplaySequential(slow_machine, slow_trace);
-    EXPECT_EQ(ff_digest, DigestMachine(slow_machine, 2))
-        << "policy " << PolicyName(policy);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -266,58 +267,64 @@ TEST(PmemDimms, FastPathMatchesReferenceUnderRandomTraffic) {
   // implementation must return the same completion time for every op and
   // report the same backlog watermark at every probe, under randomized
   // traffic that mixes sequential runs, scatter, bursts, and idle gaps.
-  DeviceConfig cfg = DimmPmem();
-  cfg.media_cycles_per_byte = 1.5;  // slow media so backlog actually forms
-  DeviceConfig ref_cfg = cfg;
-  ref_cfg.reference_impl = true;
-  PmemDevice fast(cfg);
-  const std::unique_ptr<Device> ref = MakeDevice(ref_cfg);
-  Xoshiro256 rng(0xdeefULL);
-  uint64_t now = 5000;
-  uint64_t seq_addr = 0;
-  for (int op = 0; op < 20000; ++op) {
-    switch (rng.Below(8)) {
-      case 0:  // idle gap, then watermark probe on both
-        now += rng.Below(4 * BandwidthMeter::kWindow);
-        ASSERT_EQ(fast.InternalBacklogAt(now), ref->InternalBacklogAt(now))
-            << "op " << op;
-        break;
-      case 1:
-      case 2: {  // sequential write run (coalesces in the block buffers)
-        const uint32_t lines = 1 + rng.Below(16);
-        for (uint32_t i = 0; i < lines; ++i) {
-          ASSERT_EQ(fast.Write(seq_addr, 64, now), ref->Write(seq_addr, 64, now))
+  // Buffer sizes past 255 blocks need slot ids wider than a byte.
+  for (const uint32_t blocks : {8u, 256u, 1024u}) {
+    SCOPED_TRACE("internal_buffer_blocks=" + std::to_string(blocks));
+    DeviceConfig cfg = DimmPmem();
+    cfg.media_cycles_per_byte = 1.5;  // slow media so backlog actually forms
+    cfg.internal_buffer_blocks = blocks;
+    DeviceConfig ref_cfg = cfg;
+    ref_cfg.reference_impl = true;
+    PmemDevice fast(cfg);
+    const std::unique_ptr<Device> ref = MakeDevice(ref_cfg);
+    Xoshiro256 rng(0xdeefULL);
+    uint64_t now = 5000;
+    uint64_t seq_addr = 0;
+    for (int op = 0; op < 20000; ++op) {
+      switch (rng.Below(8)) {
+        case 0:  // idle gap, then watermark probe on both
+          now += rng.Below(4 * BandwidthMeter::kWindow);
+          ASSERT_EQ(fast.InternalBacklogAt(now), ref->InternalBacklogAt(now))
               << "op " << op;
-          seq_addr += 64;
+          break;
+        case 1:
+        case 2: {  // sequential write run (coalesces in the block buffers)
+          const uint32_t lines = 1 + rng.Below(16);
+          for (uint32_t i = 0; i < lines; ++i) {
+            ASSERT_EQ(fast.Write(seq_addr, 64, now),
+                      ref->Write(seq_addr, 64, now))
+                << "op " << op;
+            seq_addr += 64;
+          }
+          break;
         }
-        break;
+        case 3: {  // scattered write (thrashes the buffers)
+          const uint64_t addr = rng.Below(1 << 22) * 64;
+          ASSERT_EQ(fast.Write(addr, 64, now), ref->Write(addr, 64, now))
+              << "op " << op;
+          break;
+        }
+        default: {  // read, scattered or near the sequential cursor
+          const uint64_t addr = rng.Below(2) != 0
+                                    ? rng.Below(1 << 22) * 64
+                                    : seq_addr - 64 * rng.Below(8);
+          ASSERT_EQ(fast.Read(addr, 64, now), ref->Read(addr, 64, now))
+              << "op " << op;
+          break;
+        }
       }
-      case 3: {  // scattered write (thrashes the buffers)
-        const uint64_t addr = rng.Below(1 << 22) * 64;
-        ASSERT_EQ(fast.Write(addr, 64, now), ref->Write(addr, 64, now))
-            << "op " << op;
-        break;
-      }
-      default: {  // read, scattered or near the sequential cursor
-        const uint64_t addr = rng.Below(2) != 0
-                                  ? rng.Below(1 << 22) * 64
-                                  : seq_addr - 64 * rng.Below(8);
-        ASSERT_EQ(fast.Read(addr, 64, now), ref->Read(addr, 64, now))
-            << "op " << op;
-        break;
-      }
+      now += rng.Below(64);
     }
-    now += rng.Below(64);
+    fast.Drain();
+    ref->Drain();
+    const DeviceStats fs = fast.Stats();
+    const DeviceStats rs = ref->Stats();
+    EXPECT_EQ(fs.reads, rs.reads);
+    EXPECT_EQ(fs.writes, rs.writes);
+    EXPECT_EQ(fs.bytes_read, rs.bytes_read);
+    EXPECT_EQ(fs.bytes_received, rs.bytes_received);
+    EXPECT_EQ(fs.media_bytes_written, rs.media_bytes_written);
   }
-  fast.Drain();
-  ref->Drain();
-  const DeviceStats fs = fast.Stats();
-  const DeviceStats rs = ref->Stats();
-  EXPECT_EQ(fs.reads, rs.reads);
-  EXPECT_EQ(fs.writes, rs.writes);
-  EXPECT_EQ(fs.bytes_read, rs.bytes_read);
-  EXPECT_EQ(fs.bytes_received, rs.bytes_received);
-  EXPECT_EQ(fs.media_bytes_written, rs.media_bytes_written);
 }
 
 TEST(PmemDimms, PartialBlockFlushPaysRmwFetch) {

@@ -63,59 +63,6 @@ TEST(SimStatsEquiv, StripedAggregateMatchesSharedAtomicSequential) {
   ExpectStatsEqual(machine.hierarchy_stats(), machine.ShadowStatsSnapshot());
 }
 
-// The analytical fast-forward must be invisible in every observable number:
-// replaying the same trace with fast-forward enabled (the default) and
-// disabled (every op walks the full timing path) must aggregate identical
-// hierarchy stripes, identical per-core stats, and an identical machine
-// digest. This is the strongest form of the "charge cycles and stat deltas
-// in one step" claim — not statistically close, bit-equal.
-TEST(SimStatsEquiv, FastForwardAggregatesIdenticalStatStripes) {
-  ReplayTraceConfig cfg = EquivTraceConfig(2);
-  uint64_t digests[2];
-  MachineStats stats[2];
-  CoreStats core0[2];
-  uint64_t icount0[2];
-  for (int ff = 0; ff < 2; ++ff) {
-    Machine machine(MachineA(2));
-    machine.SetAnalyticalFastForward(ff == 1);
-    const ReplayTrace trace = GenerateReplayTrace(machine, cfg);
-    const ReplayResult result = ReplaySequential(machine, trace);
-    ASSERT_GT(result.accesses, 0u);
-    digests[ff] = DigestMachine(machine, 2);
-    stats[ff] = machine.hierarchy_stats();
-    core0[ff] = machine.core(0).stats();
-    icount0[ff] = machine.core(0).icount();
-  }
-  ExpectStatsEqual(stats[1], stats[0]);
-  EXPECT_EQ(core0[1].loads, core0[0].loads);
-  EXPECT_EQ(core0[1].stores, core0[0].stores);
-  EXPECT_EQ(core0[1].l1_hits, core0[0].l1_hits);
-  EXPECT_EQ(core0[1].l1_misses, core0[0].l1_misses);
-  EXPECT_EQ(core0[1].cycles_load_miss, core0[0].cycles_load_miss);
-  EXPECT_EQ(core0[1].publishes, core0[0].publishes);
-  EXPECT_EQ(core0[1].publish_latency_sum, core0[0].publish_latency_sum);
-  EXPECT_EQ(icount0[1], icount0[0]);
-  EXPECT_EQ(digests[1], digests[0]);
-}
-
-// Same equivalence on the zipf-skewed mix (hot lines, more L1 hits, more
-// write-combining traffic) and on the sliced scheduler path.
-TEST(SimStatsEquiv, FastForwardEquivalenceZipfSliced) {
-  ReplayTraceConfig cfg = EquivTraceConfig(2);
-  cfg.zipf_theta = 0.99;
-  uint64_t digests[2];
-  for (int ff = 0; ff < 2; ++ff) {
-    Machine machine(MachineA(2));
-    machine.SetAnalyticalFastForward(ff == 1);
-    const ReplayTrace trace = GenerateReplayTrace(machine, cfg);
-    ReplaySlicedOptions options;
-    options.host_threads = 2;
-    (void)ReplaySliced(machine, trace, options);
-    digests[ff] = DigestMachine(machine, 2);
-  }
-  EXPECT_EQ(digests[1], digests[0]);
-}
-
 TEST(SimStatsEquiv, ResetStatsClearsStripesAndShadow) {
   Machine machine(MachineA(2));
   machine.EnableShadowStats();

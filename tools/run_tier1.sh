@@ -97,10 +97,11 @@ if ./build/tools/sim_throughput_cli --scheduler=sliced --quantum=0 \
 fi
 
 # Miss-leg digest smoke: a miss-heavy trace replayed on the production
-# fast path (closed-form device charging + analytical miss fast-forward)
-# and on the reference path (naive event-at-a-time meters, fast-forward
-# off) must produce byte-identical machine digests. This is the
-# bit-identical-results contract the miss-leg turbo work ships under.
+# devices (closed-form charging, batched writeback trains, hinted PMEM
+# block index) and on the reference devices (naive event-at-a-time
+# meters) must produce byte-identical machine digests. Only the device
+# implementation differs between the two runs; the core, caches and
+# coherence protocol are the same code.
 echo "==> miss-leg digest smoke (fast vs reference device path)"
 MISSY_ARGS=(--workers=2 --sequential --ops=20000 --keys=16384
   --shared-keys=256 --shared-fraction=0.1 --read-ratio=0.4 --theta=0
@@ -113,6 +114,12 @@ if [[ "${df}" != "${dr}" ]]; then
   echo "miss-leg fast/reference digest drift: fast ${df} vs ref ${dr}" >&2
   exit 1
 fi
+
+# PMEM buffer ablation smoke: sweeps the XPBuffer from 4 to 1024 blocks
+# per module, so slot ids above 255 are exercised. Exits non-zero if any
+# row crashes or a configuration is rejected.
+echo "==> PMEM buffer ablation smoke (bench_ablation_pmem_buffer --iters=300)"
+./build/bench/bench_ablation_pmem_buffer --iters=300 >/dev/null
 
 # Monitored-governor smoke: misuse recovery on an unprofiled workload,
 # sub-percent monitoring overhead, and the monitor-attached determinism
@@ -145,8 +152,8 @@ if [[ "${FAST}" == "0" ]]; then
   ./build-sanitize/bench/bench_serve_cluster --smoke \
     --out=build-sanitize/BENCH_serve_cluster_smoke.json >/dev/null
   # Both scheduler modes under ASan+UBSan with invariant checkers on: the
-  # sliced scheduler's mutex-handoff and the fast-forward path run the same
-  # quick sweep the plain pass ran.
+  # sliced scheduler's mutex-handoff and the free-running replay run the
+  # same quick sweep the plain pass ran.
   echo "==> sim-throughput smoke (sanitized build, --mode=both)"
   ./build-sanitize/bench/bench_sim_throughput --quick --mode=both \
     --out=build-sanitize/BENCH_sim_throughput_smoke.json >/dev/null
@@ -160,9 +167,14 @@ if [[ "${FAST}" == "0" ]]; then
   echo "==> monitor smoke (sanitized build)"
   ./build-sanitize/bench/bench_monitor --quick \
     --out=build-sanitize/BENCH_monitor_smoke.json >/dev/null
-  # The miss-leg digest contract under ASan+UBSan with invariant checkers:
-  # the batched writeback train, closed-form ReserveRun charging, and the
-  # hinted block index run the same miss-heavy fast/reference comparison.
+  # The 256- and 1024-block XPBuffer rows under ASan+UBSan with invariant
+  # checkers: slot ids above 255, index sizing, and the stamp scan.
+  echo "==> PMEM buffer ablation smoke (sanitized build)"
+  ./build-sanitize/bench/bench_ablation_pmem_buffer --iters=300 >/dev/null
+  # The device-path digest contract under ASan+UBSan with invariant
+  # checkers: closed-form ReserveRun charging, the batched writeback
+  # trains, and the hinted block index run the same miss-heavy
+  # fast/reference comparison.
   echo "==> miss-leg digest smoke (sanitized build)"
   sdf=$(./build-sanitize/tools/sim_throughput_cli "${MISSY_ARGS[@]}" \
     --device-path=fast | grep '^digest=')

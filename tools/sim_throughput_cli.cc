@@ -45,11 +45,10 @@ void PrintUsage() {
       "  --seed=N             trace seed (42)\n"
       "  --machine=A|B|Bslow  machine preset (A)\n"
       "  --device-path=fast|reference\n"
-      "                       fast (default): production device model plus\n"
-      "                       the analytical miss-leg fast-forward;\n"
+      "                       fast (default): the production device models;\n"
       "                       reference: the naive event-at-a-time device\n"
-      "                       meters with fast-forward disabled — slow, for\n"
-      "                       A/B digest comparison against the fast path\n"
+      "                       meters — slow, for A/B digest comparison\n"
+      "                       against the production devices\n"
       "\n"
       "Execution mode:\n"
       "  --scheduler=free|sliced\n"
@@ -148,15 +147,12 @@ int main(int argc, char** argv) {
                                          : MachineA(cfg.workers);
   if (device_path == "reference") {
     // Reference leg of the A/B digest contract: naive event-at-a-time
-    // device meters and no analytical fast-forward. Identical simulated
-    // results, none of the closed-form charging.
+    // device meters. Identical simulated results, none of the closed-form
+    // charging.
     mc.dram.reference_impl = true;
     mc.target.reference_impl = true;
   }
   Machine machine(mc);
-  if (device_path == "reference") {
-    machine.SetAnalyticalFastForward(false);
-  }
   const ReplayTrace trace = GenerateReplayTrace(machine, cfg);
   const ReplayResult result =
       sliced      ? ReplaySliced(machine, trace, sliced_options)
