@@ -13,8 +13,8 @@
 //     the useless-prestore baseline.
 //  3. Monitored serving: a governed+monitored YCSB run reporting write
 //     amplification and the sweep Prestore calls the monitor gated.
-//  4. Determinism: sliced replay with the monitor attached at 1 vs 2 host
-//     threads — machine digest AND monitor digest must be byte-identical.
+//  4. Determinism: sliced replay with the monitor attached, twice —
+//     machine digest AND monitor digest must be byte-identical.
 //
 // Usage: bench_monitor [--quick] [--out=BENCH_monitor.json]
 #include <cstdio>
@@ -112,10 +112,10 @@ struct SliceDigests {
   uint64_t monitor = 0;
 };
 
-// Sliced replay with the monitor attached: the end state must not depend on
-// the host thread count (same contract bench_sim_throughput pins for the
-// bare engine, extended to the sampling + aggregation path).
-SliceDigests MonitoredSliceDigest(uint32_t host_threads, bool quick) {
+// Sliced replay with the monitor attached: the end state must be the same
+// on every run (the contract bench_sim_throughput pins for the bare engine,
+// extended to the sampling + aggregation path).
+SliceDigests MonitoredSliceDigest(bool quick) {
   Machine machine(MachineA(4));
   ReplayTraceConfig tcfg;
   tcfg.workers = 4;
@@ -127,9 +127,7 @@ SliceDigests MonitoredSliceDigest(uint32_t host_threads, bool quick) {
   monitor.Monitor(kTargetBase, kTargetBase + machine.target_allocated());
   monitor.Attach();
 
-  ReplaySlicedOptions options;
-  options.host_threads = host_threads;
-  ReplaySliced(machine, trace, options);
+  ReplaySliced(machine, trace);
 
   SliceDigests d;
   d.machine = DigestMachine(machine, tcfg.workers);
@@ -260,20 +258,19 @@ int main(int argc, char** argv) {
     s.Print(std::cout);
   }
 
-  // ---- 4. Determinism across host thread counts ----
+  // ---- 4. Determinism across runs ----
   std::cout << "\n[4/4] sliced-replay determinism with the monitor attached "
-               "(1 vs 2 host threads)\n";
-  const SliceDigests d1 = MonitoredSliceDigest(1, quick);
-  const SliceDigests d2 = MonitoredSliceDigest(2, quick);
-  std::printf("  host_threads=1: machine=%016llx monitor=%016llx\n",
+               "(two runs)\n";
+  const SliceDigests d1 = MonitoredSliceDigest(quick);
+  const SliceDigests d2 = MonitoredSliceDigest(quick);
+  std::printf("  run 1: machine=%016llx monitor=%016llx\n",
               static_cast<unsigned long long>(d1.machine),
               static_cast<unsigned long long>(d1.monitor));
-  std::printf("  host_threads=2: machine=%016llx monitor=%016llx\n",
+  std::printf("  run 2: machine=%016llx monitor=%016llx\n",
               static_cast<unsigned long long>(d2.machine),
               static_cast<unsigned long long>(d2.monitor));
   if (d1.machine != d2.machine || d1.monitor != d2.monitor) {
-    std::cerr << "FAIL: monitored sliced replay is host-thread-count "
-                 "dependent\n";
+    std::cerr << "FAIL: monitored sliced replay differs between runs\n";
     ok = false;
   } else {
     std::cout << "  byte-identical\n";

@@ -12,8 +12,8 @@
 // The bench enforces the PR's acceptance bars and exits nonzero when one
 // fails:
 //  - determinism: two fresh runs from the same seed + fault plan produce
-//    byte-identical request outcome logs (max_inflight = 1, the fully
-//    deterministic regime — see the cluster_loadgen.cc header);
+//    byte-identical request outcome logs (every cluster run is
+//    deterministic — see the cluster_loadgen.cc header);
 //  - zero lost acknowledged writes: every acked PUT is applied on a node
 //    that was never killed;
 //  - bounded failover: recovered-phase throughput >= 85% of steady, and
@@ -47,7 +47,7 @@ ServeConfig ClusterConfig(uint32_t ops_per_client, uint32_t clients) {
   cfg.ycsb.workload = YcsbWorkload::kA;  // 50% writes: replication stressed
   cfg.ycsb.num_keys = 4096;
   cfg.ycsb.value_size = 512;
-  cfg.ycsb.threads = 2;  // driver host threads
+  cfg.ycsb.threads = 2;  // drivers
   cfg.ycsb.ops_per_thread = ops_per_client;
   cfg.ycsb.arena_slots = 256;
   cfg.num_shards = 2;
@@ -59,7 +59,7 @@ ServeConfig ClusterConfig(uint32_t ops_per_client, uint32_t clients) {
   // interval, spread over nodes*shards workers. Survivors absorb the dead
   // node's share mid-run, so steady-state utilization must leave headroom.
   cfg.open_loop_interval = 80000;
-  cfg.max_inflight = 1;  // the deterministic-outcome regime
+  cfg.max_inflight = 1;  // one request outstanding per client
   cfg.response_slots = 16;
   cfg.logical_clients = clients;
   cfg.cluster_nodes = 3;

@@ -46,7 +46,8 @@ ServeConfig HealthyConfig(uint32_t ops_per_client) {
   // interval must keep even that shard clearly below saturation (mean
   // service is ~19K cycles with a p99 near 255K) or the run turns
   // metastable — whether a backlog episode drains or compounds then
-  // depends on scheduling noise, and percentiles flip between runs. The
+  // hinges on small changes to the arrival interleaving, and percentiles
+  // flip with the seed. The
   // baseline still pays: its 3x-amplified media writes queue at the
   // device and stretch the tail. The first quarter of the run is a settle
   // window (excluded from percentiles): runs begin with a deterministic

@@ -24,7 +24,7 @@ uint64_t ProducerCyclesPerSend(const MachineConfig& cfg, uint32_t msg_size,
     if (tid == 0) {
       for (uint64_t i = 0; i < messages; ++i) {
         // Count only the successful send call: full-inbox spinning depends
-        // on host scheduling, not on the pre-store under study.
+        // on the consumer's pace, not on the pre-store under study.
         while (true) {
           const uint64_t t0 = core.now();
           if (inbox.TryWriteStamped(core, i, mode)) {

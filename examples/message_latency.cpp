@@ -27,7 +27,7 @@ uint64_t MeasureSendCost(const MachineConfig& cfg, MsgPrestore mode) {
     if (tid == 0) {
       for (uint64_t i = 0; i < kMessages; ++i) {
         // Count only the successful send call: full-inbox spinning depends
-        // on host scheduling, not on the pre-store under study.
+        // on the consumer's pace, not on the pre-store under study.
         while (true) {
           const uint64_t t0 = core.now();
           if (inbox.TryWriteStamped(core, i, mode)) {

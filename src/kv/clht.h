@@ -44,7 +44,7 @@ class ClhtMap : public KvStore {
   Machine& machine_;
   SimAddr buckets_;
   uint64_t num_buckets_;
-  std::atomic<uint64_t> overflow_buckets_{0};
+  uint64_t overflow_buckets_ = 0;
   FuncToken put_func_;
   FuncToken get_func_;
 };

@@ -1,6 +1,5 @@
 #include "src/kv/ycsb.h"
 
-#include <atomic>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -100,8 +99,8 @@ YcsbResult YcsbRun(Machine& machine, KvStore& store,
   }
   machine.FlushAll();  // load-phase dirty lines must not pollute run stats
   machine.ResetStats();
-  std::atomic<uint64_t> failed_gets{0};
-  std::atomic<uint64_t> latest_key{config.num_keys};
+  uint64_t failed_gets = 0;
+  uint64_t latest_key = config.num_keys;
 
   const uint64_t cycles = RunParallel(
       machine, config.threads, [&](Core& core, uint32_t tid) {
@@ -113,8 +112,8 @@ YcsbResult YcsbRun(Machine& machine, KvStore& store,
           uint64_t key;
           if (config.workload == YcsbWorkload::kD) {
             // Read-latest: bias towards recently inserted keys.
-            const uint64_t latest = latest_key.load(std::memory_order_relaxed);
-            key = latest - std::min<uint64_t>(zipf.Next(rng), latest - 1);
+            key = latest_key - std::min<uint64_t>(zipf.Next(rng),
+                                                  latest_key - 1);
           } else {
             key = zipf.NextScrambled(rng) + 1;
           }
@@ -135,7 +134,7 @@ YcsbResult YcsbRun(Machine& machine, KvStore& store,
           } else {
             uint64_t put_key = key;
             if (config.workload == YcsbWorkload::kD) {
-              put_key = latest_key.fetch_add(1, std::memory_order_relaxed) + 1;
+              put_key = ++latest_key;
             }
             if (config.workload == YcsbWorkload::kF) {
               // Read-modify-write: read the current value before crafting
@@ -156,7 +155,7 @@ YcsbResult YcsbRun(Machine& machine, KvStore& store,
             store.Put(core, put_key, slot);
           }
         }
-        failed_gets.fetch_add(local_failed, std::memory_order_relaxed);
+        failed_gets += local_failed;
       });
 
   machine.FlushAll();
@@ -164,7 +163,7 @@ YcsbResult YcsbRun(Machine& machine, KvStore& store,
   result.cycles = cycles;
   result.ops =
       static_cast<uint64_t>(config.threads) * config.ops_per_thread;
-  result.failed_gets = failed_gets.load();
+  result.failed_gets = failed_gets;
   result.write_amplification = machine.target().Stats().WriteAmplification();
   return result;
 }

@@ -129,7 +129,6 @@ RegionMonitor::RegionMonitor(Machine& machine, MonitorConfig config)
 }
 
 void RegionMonitor::Monitor(uint64_t start, uint64_t end) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (attached_) {
     throw std::logic_error("RegionMonitor::Monitor after Attach");
   }
@@ -157,7 +156,6 @@ void RegionMonitor::Monitor(uint64_t start, uint64_t end) {
 
 void RegionMonitor::Attach() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
     if (regions_.empty()) {
       throw std::logic_error("RegionMonitor::Attach with no monitored range");
     }
@@ -169,7 +167,7 @@ void RegionMonitor::Attach() {
 
 void RegionMonitor::DetachSampler() { machine_.SetAccessSampleHook(nullptr); }
 
-size_t RegionMonitor::FindRegionLocked(uint64_t addr) const {
+size_t RegionMonitor::FindRegion(uint64_t addr) const {
   // Rightmost region with start <= addr; ranges are disjoint so one
   // containment check decides.
   size_t lo = 0;
@@ -191,9 +189,8 @@ size_t RegionMonitor::FindRegionLocked(uint64_t addr) const {
 
 void RegionMonitor::OnSampledAccess(uint8_t core, uint64_t line_addr,
                                     bool is_write, uint64_t now) {
-  std::lock_guard<std::mutex> lock(mu_);
   ++samples_;
-  const size_t idx = FindRegionLocked(line_addr);
+  const size_t idx = FindRegion(line_addr);
   if (idx != SIZE_MAX) {
     MonitorRegion& region = regions_[idx];
     if (is_write) {
@@ -217,7 +214,7 @@ void RegionMonitor::OnSampledAccess(uint8_t core, uint64_t line_addr,
     }
   }
   if (++interval_samples_ >= config_.aggregation_samples) {
-    AggregateLocked(now);
+    Aggregate(now);
   }
 }
 
@@ -228,8 +225,7 @@ HintFate RegionMonitor::OnPrestoreHint(uint8_t core, uint64_t line_addr,
   (void)op;
   (void)now;
   (void)delay_cycles;
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t idx = FindRegionLocked(line_addr);
+  const size_t idx = FindRegion(line_addr);
   if (idx != SIZE_MAX) {
     ++regions_[idx].attempts;
   }
@@ -240,8 +236,7 @@ void RegionMonitor::OnUselessHint(uint8_t core, uint64_t line_addr,
                                   PrestoreOp op) {
   (void)core;
   (void)op;
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t idx = FindRegionLocked(line_addr);
+  const size_t idx = FindRegion(line_addr);
   if (idx != SIZE_MAX) {
     ++regions_[idx].useless;
   }
@@ -251,8 +246,7 @@ void RegionMonitor::OnRewriteAfterClean(uint8_t core, uint64_t line_addr,
                                         uint64_t now) {
   (void)core;
   (void)now;
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t idx = FindRegionLocked(line_addr);
+  const size_t idx = FindRegion(line_addr);
   if (idx != SIZE_MAX) {
     ++regions_[idx].rewrites;
   }
@@ -260,14 +254,13 @@ void RegionMonitor::OnRewriteAfterClean(uint8_t core, uint64_t line_addr,
 
 void RegionMonitor::OnFence(uint8_t core, uint64_t now) {
   (void)now;
-  std::lock_guard<std::mutex> lock(mu_);
   // Attribute the fence to the region this core last (sampled-)wrote: the
   // write it orders almost certainly went there. Coarse, but the fence rule
   // only needs to see fence-bound writers stand out.
   if (core >= kMaxCores || last_core_write_[core] == 0) {
     return;
   }
-  const size_t idx = FindRegionLocked(last_core_write_[core]);
+  const size_t idx = FindRegion(last_core_write_[core]);
   if (idx != SIZE_MAX) {
     ++regions_[idx].fences;
   }
@@ -278,8 +271,7 @@ HintFate RegionMonitor::AdviseHint(uint8_t core, uint64_t line_addr,
   (void)core;
   (void)op;
   (void)now;
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t idx = FindRegionLocked(line_addr);
+  const size_t idx = FindRegion(line_addr);
   if (idx == SIZE_MAX) {
     return HintFate::kIssue;  // unmonitored address: no opinion
   }
@@ -306,8 +298,7 @@ HintFate RegionMonitor::AdviseHint(uint8_t core, uint64_t line_addr,
 }
 
 HintFate RegionMonitor::AdviseSweep(uint64_t addr, uint64_t size) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t idx = FindRegionLocked(LineBase(addr, line_size_));
+  const size_t idx = FindRegion(LineBase(addr, line_size_));
   if (idx == SIZE_MAX) {
     return HintFate::kIssue;
   }
@@ -329,12 +320,11 @@ HintFate RegionMonitor::AdviseSweep(uint64_t addr, uint64_t size) {
 }
 
 SchemeVerdict RegionMonitor::VerdictAt(uint64_t addr) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t idx = FindRegionLocked(addr);
+  const size_t idx = FindRegion(addr);
   return idx == SIZE_MAX ? SchemeVerdict{} : regions_[idx].verdict;
 }
 
-void RegionMonitor::LogActionLocked(const MonitorAction& action) {
+void RegionMonitor::LogAction(const MonitorAction& action) {
   ++total_actions_;
   actions_digest_ = FnvMix(actions_digest_, HashAction(action));
   if (actions_.size() < kMaxActions) {
@@ -342,7 +332,7 @@ void RegionMonitor::LogActionLocked(const MonitorAction& action) {
   }
 }
 
-void RegionMonitor::EvaluateRegionsLocked() {
+void RegionMonitor::EvaluateRegions() {
   for (MonitorRegion& region : regions_) {
     const uint32_t accesses = region.reads + region.writes;
     // Issued cleans: hint attempts minus the ones this monitor suppressed
@@ -411,7 +401,7 @@ void RegionMonitor::EvaluateRegionsLocked() {
         action.start = region.start;
         action.end = region.end;
         action.verdict = verdict;
-        LogActionLocked(action);
+        LogAction(action);
       } else {
         ++region.age;
       }
@@ -426,7 +416,7 @@ void RegionMonitor::EvaluateRegionsLocked() {
   }
 }
 
-void RegionMonitor::MergeRegionsLocked() {
+void RegionMonitor::MergeRegions() {
   size_t i = 0;
   while (i + 1 < regions_.size() && regions_.size() > config_.min_regions) {
     MonitorRegion& a = regions_[i];
@@ -458,12 +448,12 @@ void RegionMonitor::MergeRegionsLocked() {
     action.interval = intervals_;
     action.start = a.start;
     action.end = a.end;
-    LogActionLocked(action);
+    LogAction(action);
     // Stay at i: the merged region may swallow its next neighbour too.
   }
 }
 
-void RegionMonitor::SplitRegionsLocked() {
+void RegionMonitor::SplitRegions() {
   // DAMON-style adaptation: split every splittable region in two at a
   // seeded line-aligned offset while the budget allows; homogeneous halves
   // re-merge next interval, heterogeneous ones expose their difference.
@@ -506,22 +496,21 @@ void RegionMonitor::SplitRegionsLocked() {
     action.interval = intervals_;
     action.start = left.start;
     action.end = split_at;
-    LogActionLocked(action);
+    LogAction(action);
   }
   regions_ = std::move(out);
 }
 
-void RegionMonitor::AggregateLocked(uint64_t now) {
+void RegionMonitor::Aggregate(uint64_t now) {
   (void)now;
   interval_samples_ = 0;
   ++intervals_;
-  EvaluateRegionsLocked();
-  MergeRegionsLocked();
-  SplitRegionsLocked();
+  EvaluateRegions();
+  MergeRegions();
+  SplitRegions();
 }
 
 RegionMonitor::Snapshot RegionMonitor::TakeSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   Snapshot snap;
   snap.samples = samples_;
   snap.intervals = intervals_;
@@ -536,7 +525,6 @@ RegionMonitor::Snapshot RegionMonitor::TakeSnapshot() const {
 }
 
 uint64_t RegionMonitor::DigestState() const {
-  std::lock_guard<std::mutex> lock(mu_);
   uint64_t h = kFnvOffset;
   h = FnvMix(h, intervals_);
   h = FnvMix(h, samples_);
@@ -563,7 +551,6 @@ uint64_t RegionMonitor::DigestState() const {
 }
 
 std::vector<MonitorAction> RegionMonitor::RecentActions() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return actions_;
 }
 

@@ -19,20 +19,20 @@
 //     every probe_period-th (recovery probing), admitted/default regions
 //     let them through.
 //
-// Determinism: under sequential or sliced replay the sample stream, the
-// aggregation schedule, the seeded split offsets, and hence the region tree
-// and scheme-action log are byte-identical for any host thread count
-// (monitor_test pins this via DigestState()).
+// Determinism: the sample stream, the aggregation schedule, the seeded
+// split offsets, and hence the region tree and scheme-action log are
+// byte-identical across runs of the same workload (monitor_test pins this
+// via DigestState()).
 #ifndef SRC_MONITOR_REGION_MONITOR_H_
 #define SRC_MONITOR_REGION_MONITOR_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "src/monitor/scheme.h"
 #include "src/robust/governor.h"
+#include "src/sim/config.h"
 #include "src/sim/hooks.h"
 #include "src/util/rng.h"
 
@@ -182,8 +182,8 @@ class RegionMonitor : public AccessSampleHook,
   Snapshot TakeSnapshot() const;
 
   // FNV-1a digest over the region tree, verdicts and the full action log —
-  // the byte-identical determinism guard (same seed + trace => same digest
-  // for any host thread count under sequential/sliced replay).
+  // the byte-identical determinism guard (same seed + trace => same
+  // digest).
   uint64_t DigestState() const;
 
   // The most recent action-log entries (bounded; the digest covers all).
@@ -195,12 +195,12 @@ class RegionMonitor : public AccessSampleHook,
 
  private:
   // Index of the region containing `addr`, or SIZE_MAX.
-  size_t FindRegionLocked(uint64_t addr) const;
-  void AggregateLocked(uint64_t now);
-  void EvaluateRegionsLocked();
-  void MergeRegionsLocked();
-  void SplitRegionsLocked();
-  void LogActionLocked(const MonitorAction& action);
+  size_t FindRegion(uint64_t addr) const;
+  void Aggregate(uint64_t now);
+  void EvaluateRegions();
+  void MergeRegions();
+  void SplitRegions();
+  void LogAction(const MonitorAction& action);
 
   Machine& machine_;
   const MonitorConfig config_;
@@ -208,7 +208,6 @@ class RegionMonitor : public AccessSampleHook,
   SchemeEngine engine_;
   bool attached_ = false;
 
-  mutable std::mutex mu_;
   std::vector<MonitorRegion> regions_;  // sorted by start; spans disjoint
   uint32_t num_ranges_ = 0;
   Xoshiro256 rng_;
@@ -224,7 +223,6 @@ class RegionMonitor : public AccessSampleHook,
   uint64_t probe_admits_ = 0;
 
   // Last sampled write line per core, for fence attribution.
-  static constexpr size_t kMaxCores = 64;
   uint64_t last_core_write_[kMaxCores] = {};
 
   // Bounded action log + rolling digest over every entry ever appended.

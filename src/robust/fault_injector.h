@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/robust/fault_plan.h"
+#include "src/sim/config.h"
 #include "src/sim/hooks.h"
 
 namespace prestore {
@@ -68,16 +69,14 @@ class FaultInjector : public DeviceFaultHook, public PrestoreHook {
   // Extra service cycles per request while a degrade window is active.
   uint64_t NodeDegradeCycles(uint32_t node, uint64_t at) const;
 
-  // Router-side rejection log: one lane per driver thread (single-writer,
-  // like the per-core hint logs), serialized into EventLog(). `at` is the
+  // Router-side rejection log: one lane per driver (like the per-core hint
+  // logs), serialized into EventLog(). `at` is the
   // request's run-relative decision time — a pure function of the client's
   // schedule, so the log replays byte-identically.
   void RecordNodeRejection(uint32_t lane, FaultKind kind, uint32_t node,
                            uint64_t at);
 
  private:
-  static constexpr size_t kMaxCores = 64;
-
   struct HintLogEntry {
     uint64_t ordinal;  // per-core hint counter value
     uint64_t line_addr;
@@ -99,11 +98,10 @@ class FaultInjector : public DeviceFaultHook, public PrestoreHook {
   std::vector<FaultWindow> schedule_;
   // Per-kind views into the schedule, sorted by start, for fast queries.
   std::array<std::vector<FaultWindow>, kNumFaultKinds> by_kind_;
-  // Per-core hint ordinals and intervention logs. Each slot is only ever
-  // touched by its own core's host thread.
+  // Per-core hint ordinals and intervention logs (one slot per core id).
   std::array<uint64_t, kMaxCores> hint_ordinal_{};
   std::array<std::vector<HintLogEntry>, kMaxCores> hint_log_;
-  // Per-lane rejection logs (one lane per driver thread, single-writer).
+  // Per-lane rejection logs (one lane per driver).
   std::array<std::vector<RejectLogEntry>, kMaxCores> reject_log_;
 };
 

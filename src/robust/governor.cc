@@ -34,7 +34,7 @@ PrestoreGovernor::PrestoreGovernor(Machine& machine, GovernorConfig config)
 
 void PrestoreGovernor::Attach() { machine_.AddPrestoreHook(this); }
 
-RegionBackoff& PrestoreGovernor::TouchRegionLocked(uint64_t key) {
+RegionBackoff& PrestoreGovernor::TouchRegion(uint64_t key) {
   auto it = region_index_.find(key);
   if (it != region_index_.end()) {
     region_lru_.splice(region_lru_.begin(), region_lru_, it->second);
@@ -54,14 +54,14 @@ double PrestoreGovernor::HeadroomFor(uint64_t line_addr) const {
   return line_addr >= kTargetBase ? target_headroom_ : dram_headroom_;
 }
 
-void PrestoreGovernor::SampleDevicePressureLocked(uint64_t now) {
+void PrestoreGovernor::SampleDevicePressure(uint64_t now) {
   last_backlog_ = machine_.target().InternalBacklogAt(now);
   last_write_amp_ = machine_.target().Stats().WriteAmplification();
   under_pressure_ = last_backlog_ >= config_.pressure_backlog_cycles ||
                     last_write_amp_ >= config_.pressure_write_amp;
 }
 
-void PrestoreGovernor::EvaluateGateLocked() {
+void PrestoreGovernor::EvaluateGate() {
   const uint64_t window_attempts = attempts_ - gate_last_attempts_;
   if (window_attempts < config_.global_eval_window) {
     return;
@@ -84,12 +84,11 @@ HintFate PrestoreGovernor::OnPrestoreHint(uint8_t core, uint64_t line_addr,
   (void)core;
   (void)op;
   (void)delay_cycles;
-  std::lock_guard<std::mutex> lock(mu_);
   ++attempts_;
   if (attempts_ % config_.device_sample_period == 0) {
-    SampleDevicePressureLocked(now);
+    SampleDevicePressure(now);
   }
-  EvaluateGateLocked();
+  EvaluateGate();
 
   // Gate first: when the device has no amplification headroom and the
   // workload does not fence, no hint to that device can help, so the region
@@ -113,7 +112,7 @@ HintFate PrestoreGovernor::OnPrestoreHint(uint8_t core, uint64_t line_addr,
     return HintFate::kIssue;
   }
 
-  RegionBackoff& region = TouchRegionLocked(line_addr >> config_.region_shift);
+  RegionBackoff& region = TouchRegion(line_addr >> config_.region_shift);
   const double threshold = under_pressure_
                                ? config_.backoff_rewrite_rate *
                                      config_.pressure_rate_scale
@@ -130,33 +129,29 @@ void PrestoreGovernor::OnUselessHint(uint8_t core, uint64_t line_addr,
                                      PrestoreOp op) {
   (void)core;
   (void)op;
-  std::lock_guard<std::mutex> lock(mu_);
   if (config_.policy == GovernorPolicy::kMonitored && advisor_ != nullptr) {
     return;  // the monitor observes useless hints through its own hook
   }
-  TouchRegionLocked(line_addr >> config_.region_shift).OnUseless();
+  TouchRegion(line_addr >> config_.region_shift).OnUseless();
 }
 
 void PrestoreGovernor::OnRewriteAfterClean(uint8_t core, uint64_t line_addr,
                                            uint64_t now) {
   (void)core;
   (void)now;
-  std::lock_guard<std::mutex> lock(mu_);
   if (config_.policy == GovernorPolicy::kMonitored && advisor_ != nullptr) {
     return;  // the monitor observes rewrites through its own hook
   }
-  TouchRegionLocked(line_addr >> config_.region_shift).OnRewrite();
+  TouchRegion(line_addr >> config_.region_shift).OnRewrite();
 }
 
 void PrestoreGovernor::OnFence(uint8_t core, uint64_t now) {
   (void)core;
   (void)now;
-  std::lock_guard<std::mutex> lock(mu_);
   ++fences_;
 }
 
 PrestoreGovernor::Snapshot PrestoreGovernor::TakeSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   Snapshot snap;
   snap.attempts = attempts_;
   snap.admitted = admitted_;

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <list>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -116,8 +115,8 @@ class PrestoreGovernor : public PrestoreHook {
   // line. > 1 means cleans can reduce media traffic; == 1 means they cannot.
   double HeadroomFor(uint64_t line_addr) const;
 
-  void SampleDevicePressureLocked(uint64_t now);
-  void EvaluateGateLocked();
+  void SampleDevicePressure(uint64_t now);
+  void EvaluateGate();
 
   // The bounded region table: an LRU list of (region key, backoff state)
   // with an index by key. Touching a region splices it to the front;
@@ -127,7 +126,7 @@ class PrestoreGovernor : public PrestoreHook {
     uint64_t key;
     RegionBackoff backoff;
   };
-  RegionBackoff& TouchRegionLocked(uint64_t key);
+  RegionBackoff& TouchRegion(uint64_t key);
 
   Machine& machine_;
   const GovernorConfig config_;
@@ -135,7 +134,6 @@ class PrestoreGovernor : public PrestoreHook {
   double target_headroom_ = 1.0;
   RegionAdvisor* advisor_ = nullptr;
 
-  mutable std::mutex mu_;
   std::list<TrackedRegion> region_lru_;  // front = most recently touched
   std::unordered_map<uint64_t, std::list<TrackedRegion>::iterator>
       region_index_;  // key: addr >> region_shift

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "src/kv/kvstore.h"
 #include "src/robust/governor.h"
@@ -75,8 +74,8 @@ uint32_t ShardRouter::Primary(uint64_t key) const {
 
 // One replication channel: an inbox on the RECEIVER's machine, written
 // through a dedicated ingress core of that machine. The ingress core is
-// owned by the sender's (node, shard) worker host thread — one host thread
-// per simulated core, as everywhere else in the simulator.
+// owned by the sender's (node, shard) worker fiber — one writer per
+// simulated core, as everywhere else in the simulator.
 struct KvCluster::ReplChannel {
   std::unique_ptr<X9Inbox> inbox;
   uint32_t ingress_core = 0;
@@ -95,7 +94,7 @@ struct KvCluster::NodeShard {
   };
   std::vector<HintQueue> hints;  // indexed by peer node id
 
-  // Single-writer counters (the shard's worker host thread).
+  // Counters written only by the shard's worker.
   uint64_t served = 0;
   uint64_t nacks = 0;
   uint64_t batches = 0;
@@ -372,7 +371,7 @@ void KvCluster::SendRepl(Core& core, uint32_t from, uint32_t to,
     bool progress = false;
     DrainRepl(core, from, shard, touched, &progress);
     if (!progress) {
-      std::this_thread::yield();
+      core.EndSlice();
     }
   }
 }
@@ -449,10 +448,10 @@ void KvCluster::Respond(Core& core, uint32_t node, const ResponseMsg& resp) {
       static_cast<uint32_t>(resp.client % config_.ycsb.threads);
   X9Inbox& out = *nodes_[node]->responses[driver];
   // Transiently full is fine (the driver keeps draining); the wait is
-  // host-side so a blocked worker's clock doesn't inflate later requests.
+  // free so a blocked worker's clock doesn't inflate later requests.
   while (!out.TryWrite(core, &resp, config_.response_prestore)) {
     while (!out.CanWrite()) {
-      std::this_thread::yield();
+      core.EndSlice();
     }
   }
 }
@@ -578,7 +577,7 @@ void KvCluster::WorkerLoop(uint32_t node, uint32_t shard) {
       continue;
     }
 
-    // Idle. Same host-time-only discipline as the single-machine worker —
+    // Idle. Same free-wait discipline as the single-machine worker —
     // EXCEPT when only a future hint replay remains: a demand-driven clock
     // would never reach the rejoin time on its own, so leap toward it in
     // bounded chunks once no more client work can arrive.
@@ -611,7 +610,7 @@ void KvCluster::WorkerLoop(uint32_t node, uint32_t shard) {
         }
       }
     }
-    std::this_thread::yield();
+    core.EndSlice();
   }
 }
 

@@ -1,7 +1,7 @@
 // Open-loop load generation for the replicated cluster (DESIGN.md §11).
 //
-// `ycsb.threads` driver host threads multiplex `num_clients()` logical
-// open-loop clients (client c belongs to driver c % D). Each client owns a
+// `ycsb.threads` driver fibers multiplex `num_clients()` logical open-loop
+// clients (client c belongs to driver c % D). Each client owns a
 // deterministic arrival schedule, its own rng, and its own NodeHealthView;
 // each driver owns one simulated core PER NODE MACHINE (submissions and
 // response reads to node n are charged to driver core d of machine n).
@@ -18,29 +18,19 @@
 //  - an exhausted pass over the replica set costs one capped backoff;
 //    max_attempts passes abandon the request as "failed" (never dropped).
 //
-// Determinism scope: with max_inflight = 1 each client's health events are
-// totally ordered by its own request sequence, so the (node, status)
-// outcome of every request is a pure function of seed + fault plan (the
-// determinism tests and the bench self-check run in this regime, with
-// admission queues deep enough not to saturate). Deeper per-client
-// pipelines let NACK observations interleave with later submissions in
-// host order, and node choice near a fault edge may vary — acked-write
-// durability and the zero-loss guarantee hold regardless.
+// Determinism: the shard workers and the drivers run as fibers on one
+// SimScheduler across the node machines, so the (node, status) outcome and
+// the latency of every request are a pure function of seed, fault plan and
+// quantum, for any pipeline depth.
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "src/kv/ycsb.h"
 #include "src/serve/cluster.h"
 #include "src/serve/schedule_window.h"
-#include "src/sim/harness.h"
+#include "src/sim/scheduler.h"
 #include "src/util/rng.h"
 #include "src/util/zipf.h"
 
@@ -181,7 +171,7 @@ class Driver {
         }
       }
       if (!progress) {
-        std::this_thread::yield();
+        cluster_.driver_core(d_, 0).EndSlice();
       }
     }
   }
@@ -242,10 +232,10 @@ class Driver {
             p.target = n;
             return false;
           case SubmitStatus::kRetryAfter:
-            // Admission ring transiently full: a host-level condition, so
-            // it must not move the deterministic decision time. Leave the
+            // Admission ring transiently full: a queueing condition, so it
+            // must not move the schedule-derived decision time. Leave the
             // attempt parked; the outer loop retries after draining (count
-            // the event once, not once per host-level poll).
+            // the event once, not once per poll).
             if (p.target != n || p.inflight) {
               ++out_.retries;
             }
@@ -376,29 +366,9 @@ class Driver {
   std::vector<LClient> clients_;
 };
 
-[[noreturn]] void ClusterWatchdogAbort(KvCluster& cluster, uint32_t nthreads,
-                                       const std::vector<bool>& finished,
-                                       uint64_t watchdog_ms) {
-  std::fprintf(stderr,
-               "RunClusterYcsb watchdog: run exceeded %llu ms; aborting.\n",
-               static_cast<unsigned long long>(watchdog_ms));
-  for (uint32_t t = 0; t < nthreads; ++t) {
-    std::fprintf(stderr, "  thread %2u: %s\n", t,
-                 finished[t] ? "finished" : "STILL RUNNING");
-  }
-  for (uint32_t n = 0; n < cluster.num_nodes(); ++n) {
-    Machine& m = cluster.machine(n);
-    for (uint32_t c = 0; c < m.num_cores(); ++c) {
-      std::fprintf(stderr, "  node %u core %2u: now=%llu\n", n, c,
-                   static_cast<unsigned long long>(m.core(c).PublishedNow()));
-    }
-  }
-  std::abort();
-}
-
 std::string SerializeOutcomes(std::vector<OutcomeRec>& recs) {
-  // Sorted by (client, seq): resolution ORDER is host-dependent, the sorted
-  // CONTENT is the deterministic object two runs must agree on.
+  // Sorted by (client, seq): the log reads per client, whatever order the
+  // drivers resolved requests in.
   std::sort(recs.begin(), recs.end(),
             [](const OutcomeRec& a, const OutcomeRec& b) {
               return a.client != b.client ? a.client < b.client
@@ -442,9 +412,8 @@ ClusterResult RunClusterYcsb(KvCluster& cluster,
     m.ResetStats();
     t0 = std::max(t0, m.GlobalTime());
   }
-  // The run's origin: preload duration varies with host thread interleaving
-  // by a little; rounding up to a large quantum makes the origin (and with
-  // it every run-relative time) reproducible across runs.
+  // The run's origin: rounding up to a large quantum keeps the origin (and
+  // with it every run-relative time) fixed across small preload changes.
   constexpr uint64_t kOriginQuantum = 1ULL << 20;
   const uint64_t origin = (t0 + kOriginQuantum - 1) / kOriginQuantum *
                           kOriginQuantum;
@@ -464,59 +433,30 @@ ClusterResult RunClusterYcsb(KvCluster& cluster,
     ctx.phase_gets.assign(nphases, 0);
     ctx.phase_puts.assign(nphases, 0);
   }
-  std::atomic<uint32_t> drivers_left{ndrivers};
-
-  // Custom cross-machine launcher (RunParallel drives one machine only):
-  // N*S shard workers + D drivers, exception capture, optional watchdog.
-  const uint32_t nthreads = nnodes * nshards + ndrivers;
-  const uint64_t watchdog_ms = harness_internal::DefaultWatchdogMs();
-  std::mutex mu;
-  std::condition_variable cv;
-  uint32_t done = 0;
-  std::vector<bool> finished(nthreads, false);
-  std::exception_ptr first_error;
-  std::vector<std::thread> threads;
-  threads.reserve(nthreads);
-  for (uint32_t t = 0; t < nthreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::exception_ptr error;
-      try {
-        if (t < nnodes * nshards) {
-          cluster.WorkerLoop(t / nshards, t % nshards);
-        } else {
-          const uint32_t d = t - nnodes * nshards;
-          Driver(cluster, d, options, zipf, read_funcs, board, origin,
-                 ctxs[d])
-              .Run();
-          if (drivers_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            cluster.DriversDone();
-          }
-        }
-      } catch (...) {
-        error = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      if (error != nullptr && first_error == nullptr) {
-        first_error = error;
-      }
-      finished[t] = true;
-      ++done;
-      cv.notify_all();
-    });
+  // N*S shard workers, each homed on its worker core, and D drivers, which
+  // own a core on every node and are resumed every round — all fibers of
+  // one scheduler across the node machines.
+  SimScheduler scheduler;
+  for (uint32_t n = 0; n < nnodes; ++n) {
+    scheduler.AddMachine(cluster.machine(n));
   }
-  if (watchdog_ms != 0) {
-    std::unique_lock<std::mutex> lock(mu);
-    if (!cv.wait_for(lock, std::chrono::milliseconds(watchdog_ms),
-                     [&] { return done == nthreads; })) {
-      ClusterWatchdogAbort(cluster, nthreads, finished, watchdog_ms);
+  for (uint32_t n = 0; n < nnodes; ++n) {
+    for (uint32_t s = 0; s < nshards; ++s) {
+      scheduler.Spawn(&cluster.machine(n).core(s),
+                      [&cluster, n, s] { cluster.WorkerLoop(n, s); });
     }
   }
-  for (std::thread& th : threads) {
-    th.join();
+  uint32_t drivers_left = ndrivers;
+  for (uint32_t d = 0; d < ndrivers; ++d) {
+    scheduler.Spawn(nullptr, [&, d] {
+      Driver(cluster, d, options, zipf, read_funcs, board, origin, ctxs[d])
+          .Run();
+      if (--drivers_left == 0) {
+        cluster.DriversDone();
+      }
+    });
   }
-  if (first_error != nullptr) {
-    std::rethrow_exception(first_error);
-  }
+  scheduler.Run(origin);
 
   ClusterResult result;
   for (uint32_t n = 0; n < nnodes; ++n) {

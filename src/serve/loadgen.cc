@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <thread>
 
 #include "src/serve/schedule_window.h"
 #include "src/sim/harness.h"
@@ -91,10 +90,11 @@ class ClientSession {
       if (sent < total && inflight < cfg_.max_inflight) {
         if (!board_.MayFire(next_send)) {
           // A peer's schedule is more than the inflight horizon behind:
-          // hold in host time (responses keep draining at the loop top)
-          // until it catches up. Peers stay registered at the run's start
-          // until they begin, so this doubles as the start barrier.
-          std::this_thread::yield();
+          // hold without simulated cost (responses keep draining at the
+          // loop top) until it catches up. Peers stay registered at the
+          // run's start until they begin, so this doubles as the start
+          // barrier.
+          core_.EndSlice();
           continue;
         }
         if (core_.now() < next_send) {
@@ -127,15 +127,14 @@ class ClientSession {
         }
         continue;
       }
-      // At the inflight cap (or drained of sends): wait in HOST time only;
-      // Record clamps the clock to each response's completion. The wait
-      // must never advance toward the global maximum clock (SpinPause):
-      // that couples every capped client to the fastest core, their
-      // response-processing work then stacks serially onto that one shared
-      // timeline, and once the combined work rate passes one cycle per
-      // cycle the whole run's latencies diverge — a metastable collapse
-      // ignited by nothing but host scheduling noise.
-      std::this_thread::yield();
+      // At the inflight cap (or drained of sends): wait without simulated
+      // cost; Record clamps the clock to each response's completion. The
+      // wait must never advance toward the global maximum clock
+      // (SpinPause): that couples every capped client to the fastest core,
+      // their response-processing work then stacks serially onto that one
+      // shared timeline, and once the combined work rate passes one cycle
+      // per cycle the whole run's latencies diverge.
+      core_.EndSlice();
     }
   }
 
@@ -170,12 +169,12 @@ class ClientSession {
       core_.Execute(cfg_.retry_backoff_cycles);
     }
     ResponseMsg resp;
-    // Host-side wait (see RunOpenLoop): the Peek gate keeps it free of
-    // per-poll charges, and Record advances the clock to the true service
+    // Free wait (see RunOpenLoop): the Peek gate keeps it free of per-poll
+    // charges, and Record advances the clock to the true service
     // completion.
     while (!(server_.HasResponse(client_) &&
              server_.TryGetResponse(core_, client_, &resp))) {
-      std::this_thread::yield();
+      core_.EndSlice();
     }
     Record(resp);
   }

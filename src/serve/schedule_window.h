@@ -1,10 +1,10 @@
 // Conservative peer-skew window for open-loop load generators.
 //
-// Open-loop clients are host threads free-running through simulated arrival
-// schedules; without a brake, host scheduling noise lets one client race
-// hundreds of intervals ahead of a descheduled peer, the shard workers'
-// clocks follow the leader, and the straggler's requests are then measured
-// late by the full divergence. The classic fix is the conservative-window
+// Open-loop clients run through simulated arrival schedules at their own
+// pace; without a brake one client can race hundreds of intervals ahead of
+// a peer whose core sits past the scheduler's round deadline, the shard
+// workers' clocks follow the leader, and the straggler's requests are then
+// measured late by the full divergence. The classic fix is the conservative-window
 // rule of parallel discrete-event simulation: nobody's schedule may run
 // more than a bounded horizon ahead of the slowest peer's.
 //
@@ -15,11 +15,11 @@
 // window-sized buckets: a ring of occupancy counts, a monotonic min-bucket
 // cursor advanced by CAS over emptied buckets, and O(1) amortized work per
 // advance. The quantized minimum is a lower bound on the true minimum, so
-// the gate is strictly MORE conservative than the exact scan — holds are
-// host-time only and simulated results are unchanged.
+// the gate is strictly MORE conservative than the exact scan — holds cost
+// no simulated time.
 //
-// Thread contract: Advance(c, ...) has a single writer per client (the
-// host thread driving that client); MayFire may be called from any thread.
+// Contract: Advance(c, ...) has a single writer per client (the fiber
+// driving that client); MayFire may be called from any client.
 #ifndef SRC_SERVE_SCHEDULE_WINDOW_H_
 #define SRC_SERVE_SCHEDULE_WINDOW_H_
 

@@ -9,6 +9,7 @@
 #include "src/monitor/region_monitor.h"
 #include "src/msg/x9.h"
 #include "src/robust/governor_policy.h"
+#include "src/sim/config.h"
 
 namespace prestore {
 
@@ -122,8 +123,9 @@ struct ServeConfig {
     if (num_shards == 0) {
       return "num_shards must be > 0";
     }
-    if (num_shards + ycsb.threads > 255) {
-      return "num_shards + clients must fit the machine's core-id space";
+    if (num_shards + ycsb.threads > kMaxCores) {
+      return "num_shards + clients must fit the machine's " +
+             std::to_string(kMaxCores) + "-core limit";
     }
     if (queue_slots == 0 || (queue_slots & (queue_slots - 1)) != 0) {
       return "queue_slots must be a power of two";
@@ -194,9 +196,10 @@ struct ServeConfig {
       // (peer, shard) channel + one core per driver thread.
       const uint64_t cores_per_node =
           static_cast<uint64_t>(num_shards) * cluster_nodes + ycsb.threads;
-      if (cores_per_node > 255) {
+      if (cores_per_node > kMaxCores) {
         return "cluster core budget: shards * nodes + drivers must fit the "
-               "per-machine core-id space";
+               "machine's " +
+               std::to_string(kMaxCores) + "-core limit";
       }
     }
     return "";

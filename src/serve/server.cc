@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
-#include <thread>
 
 #include "src/kv/clht.h"
 #include "src/kv/masstree.h"
@@ -201,13 +200,13 @@ void KvServer::ShardWorkerLoop(Core& core, uint32_t shard_idx) {
     } else if (all_done) {
       break;
     } else {
-      // Idle: wait in HOST time only (free Peek + yield). An idle worker's
-      // clock must be demand-driven — it advances for work and for bounded
-      // batch-window waits, never per poll: a failed TryRead costs real
-      // cycles, and paying them once per host-scheduler iteration would
-      // make service start times (and every latency derived from them)
-      // measure the host's thread interleaving instead of the simulation.
-      std::this_thread::yield();
+      // Idle: wait without simulated cost (free Peek + end of slice). An
+      // idle worker's clock must be demand-driven — it advances for work
+      // and for bounded batch-window waits, never per poll: a failed
+      // TryRead costs real cycles, and paying them once per scheduler
+      // round would make service start times (and every latency derived
+      // from them) measure the round count instead of the workload.
+      core.EndSlice();
       continue;
     }
     // The dequeued request sets the worker's time base: the server cannot
@@ -263,12 +262,12 @@ void KvServer::ShardWorkerLoop(Core& core, uint32_t shard_idx) {
       // The response ring can be transiently full (open loop at
       // max_inflight) or claimed by another shard answering the same
       // client; both resolve because clients keep draining. The wait is
-      // host-side (CanWrite + yield): blocking on the client must not
+      // free (CanWrite + end of slice): blocking on the client must not
       // inflate this worker's clock, which times every later completion.
       X9Inbox& out = *responses_[r.client];
       while (!out.TryWrite(core, &resp, config_.response_prestore)) {
         while (!out.CanWrite()) {
-          std::this_thread::yield();
+          core.EndSlice();
         }
       }
     }

@@ -1,19 +1,17 @@
 // Set-associative cache model with pluggable replacement policies.
 //
 // The cache stores timing/coherence metadata only — data always lives in the
-// machine's backing host memory (functional-first simulation). Locking is
-// external: Machine gives each LLC shard its own mutex; each L1 has its own
-// mutex.
+// machine's backing host memory (functional-first simulation). Machine owns
+// one whole cache per L1 and one for the LLC; one host thread drives them
+// (scheduler.h), so the cache has no locking.
 //
-// A cache can be constructed either as a whole (the L1 case) or as a SHARD
-// VIEW over every `stride`-th set of a larger logical cache (the LLC case:
-// Machine builds kNumShards views so each shard owns its sets, replacement
-// state and lock outright). A shard view behaves exactly like the
+// A cache can also be constructed as a SHARD VIEW over every `stride`-th
+// set of a larger logical cache. A shard view behaves exactly like the
 // corresponding sets of the monolithic cache: per-set RNG streams are drawn
 // from the same global-set-order SplitMix64 sequence, so for any fixed
 // access sequence the victim choices are bit-identical to the unsharded
-// cache (the determinism guard in tests/sim_determinism_test.cc relies on
-// this).
+// cache. Machine does not use shard views (its LLC is one whole cache);
+// tests/cache_layout_equiv_test.cc pins their equivalence.
 //
 // SetBlock layout (DESIGN.md §14): every set is ONE contiguous,
 // kSetBlockAlign-aligned block —

@@ -66,6 +66,23 @@ void DeviceConfig::Validate(const char* what) const {
   }
 }
 
+void MachineConfig::Validate() const {
+  if (num_cores == 0 || num_cores > kMaxCores) {
+    Invalid("machine", "num_cores must be in [1, " +
+                           std::to_string(kMaxCores) +
+                           "] (64-bit sharer mask), got " +
+                           std::to_string(num_cores));
+  }
+  l1.Validate("l1");
+  llc.Validate("llc");
+  if (l1.line_size != line_size || llc.line_size != line_size) {
+    Invalid("machine", "cache line sizes (l1 " + std::to_string(l1.line_size) +
+                           ", llc " + std::to_string(llc.line_size) +
+                           ") must equal line_size " +
+                           std::to_string(line_size));
+  }
+}
+
 MachineConfig MachineA(uint32_t num_cores) {
   MachineConfig m;
   m.name = "machine-A";

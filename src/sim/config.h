@@ -140,6 +140,11 @@ enum class StoreDrainPolicy : uint8_t {
   kLazyWeak,
 };
 
+// The coherence directory tracks L1 sharers in a 64-bit mask
+// (CacheLineMeta::sharers) and core ids in a uint8_t with 0xff meaning "no
+// owner", so a machine has at most 64 cores.
+inline constexpr uint32_t kMaxCores = 64;
+
 struct MachineConfig {
   std::string name = "machine";
   uint32_t num_cores = 4;
@@ -163,6 +168,12 @@ struct MachineConfig {
   // Capacities of the two address regions (backing host buffers).
   uint64_t dram_region_bytes = 64ULL << 20;
   uint64_t target_region_bytes = 512ULL << 20;
+
+  // Throws std::invalid_argument if the machine cannot be modelled:
+  // num_cores must be in [1, kMaxCores], both cache geometries must pass
+  // CacheConfig::Validate, and their line sizes must equal line_size. Every
+  // Machine runs it at construction, in every build type.
+  void Validate() const;
 };
 
 // Machine A (§3): 2-socket Xeon Gold 6230 + Optane NV-DIMMs. The CPU caches

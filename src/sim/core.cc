@@ -1,12 +1,10 @@
 #include "src/sim/core.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <cassert>
 
 #include "src/sim/machine.h"
-#include "src/sim/optlock.h"
+#include "src/sim/scheduler.h"
 
 namespace prestore {
 
@@ -19,13 +17,10 @@ Core::Core(Machine* machine, uint8_t id, const MachineConfig& config)
     : machine_(machine), id_(id), config_(config), l1_(config.l1, config.seed ^ (0x17ULL * id + 3)) {}
 
 void Core::RefreshFastPathFlags() {
-  sink_fast_.store(machine_->trace_sink(), std::memory_order_release);
-  has_hooks_.store(!machine_->prestore_hooks().empty(),
-                   std::memory_order_release);
-  lock_free_.store(machine_->exclusive_execution(),
-                   std::memory_order_release);
+  sink_fast_ = machine_->trace_sink();
+  has_hooks_ = !machine_->prestore_hooks().empty();
   AccessSampleHook* sampler = machine_->access_sample_hook();
-  sampler_fast_.store(sampler, std::memory_order_release);
+  sampler_fast_ = sampler;
   const uint32_t period = sampler != nullptr ? sampler->SamplePeriod() : 0;
   if (period != sample_period_) {
     sample_period_ = period;
@@ -179,20 +174,15 @@ bool Core::WaitPendingWriteback(uint64_t line_addr) {
 // ---- L1 fill ----
 
 void Core::FillL1(uint64_t line_addr, bool exclusive, bool dirty) {
-  SetAssocCache::Victim victim;
-  {
-    OptionalLockGuard lock(l1_mu_, LockFree());
-    CacheLineMeta* present = l1_.Touch(line_addr);
-    if (present != nullptr) {
-      present->exclusive = present->exclusive || exclusive;
-      present->dirty = present->dirty || dirty;
-      return;
-    }
-    CacheLineMeta* meta = nullptr;
-    SetAssocCache::Victim v = l1_.Insert(line_addr, dirty, &meta);
-    meta->exclusive = exclusive;
-    victim = v;
+  CacheLineMeta* present = l1_.Touch(line_addr);
+  if (present != nullptr) {
+    present->exclusive = present->exclusive || exclusive;
+    present->dirty = present->dirty || dirty;
+    return;
   }
+  CacheLineMeta* meta = nullptr;
+  const SetAssocCache::Victim victim = l1_.Insert(line_addr, dirty, &meta);
+  meta->exclusive = exclusive;
   if (victim.valid) {
     machine_->L1VictimWriteback(id_, victim.line_addr, victim.dirty, now_);
   }
@@ -201,13 +191,10 @@ void Core::FillL1(uint64_t line_addr, bool exclusive, bool dirty) {
 // ---- Per-line timing paths ----
 
 void Core::LineLoad(uint64_t line_addr) {
-  {
-    OptionalLockGuard lock(l1_mu_, LockFree());
-    if (l1_.Touch(line_addr) != nullptr) {
-      ++stats_.l1_hits;
-      now_ += config_.l1.hit_latency;
-      return;
-    }
+  if (l1_.Touch(line_addr) != nullptr) {
+    ++stats_.l1_hits;
+    now_ += config_.l1.hit_latency;
+    return;
   }
   if (SbContains(line_addr)) {
     // Store-to-load forwarding from the private buffer.
@@ -284,14 +271,11 @@ void Core::LineStore(uint64_t line_addr) {
     NotifyRewriteIfCleaned(line_addr);
   }
   WaitPendingWriteback(line_addr);
-  {
-    OptionalLockGuard lock(l1_mu_, LockFree());
-    CacheLineMeta* meta = l1_.Touch(line_addr);
-    if (meta != nullptr && meta->exclusive) {
-      meta->dirty = true;
-      now_ += kStoreIssueCost;
-      return;
-    }
+  CacheLineMeta* meta = l1_.Touch(line_addr);
+  if (meta != nullptr && meta->exclusive) {
+    meta->dirty = true;
+    now_ += kStoreIssueCost;
+    return;
   }
   now_ += kStoreIssueCost;
   if (config_.drain == StoreDrainPolicy::kEagerTso) {
@@ -331,6 +315,7 @@ void Core::TimedAccess(SimAddr addr, size_t size, bool is_store) {
     a += in_line;
     remaining -= in_line;
   }
+  MaybeEndSlice();
 }
 
 // ---- Data operations ----
@@ -394,19 +379,19 @@ void Core::MemSet(SimAddr dst, uint8_t byte, size_t size) {
 
 // ---- Ordering ----
 
-void Core::PublishClock() {
-  published_now_.store(now_, std::memory_order_relaxed);
-}
+void Core::EndSlice() { SimScheduler::YieldCurrent(); }
 
 void Core::SpinPause(uint64_t cycles) {
   ++icount_;
   const uint64_t target = machine_->ApproxGlobalTime();
   if (now_ < target) {
     now_ = std::min(now_ + cycles, target);
+    PublishClock();
+    MaybeEndSlice();
   } else {
-    std::this_thread::yield();
+    PublishClock();
+    EndSlice();  // nobody to catch up with: let the other cores run
   }
-  PublishClock();
 }
 
 void Core::Fence() {
@@ -425,6 +410,7 @@ void Core::Fence() {
   now_ = std::max(now_ + kFenceIssueCost, t);
   stats_.fence_stall_cycles += now_ - begin;
   Emit(TraceKind::kFence, 0, 0);
+  MaybeEndSlice();
 }
 
 bool Core::CasU64(SimAddr addr, uint64_t& expected, uint64_t desired) {
@@ -446,9 +432,16 @@ bool Core::CasU64(SimAddr addr, uint64_t& expected, uint64_t desired) {
   const uint64_t line = machine_->LineBaseOf(addr);
   now_ = machine_->PublishLine(id_, line, now_) + config_.atomic_latency;
   Emit(TraceKind::kAtomic, addr, 8);
-  auto* p = reinterpret_cast<uint64_t*>(machine_->HostPtr(addr));
-  return std::atomic_ref<uint64_t>(*p).compare_exchange_strong(
-      expected, desired, std::memory_order_acq_rel);
+  uint64_t current;
+  std::memcpy(&current, machine_->HostPtr(addr), 8);
+  const bool swapped = current == expected;
+  if (swapped) {
+    std::memcpy(machine_->HostPtr(addr), &desired, 8);
+  } else {
+    expected = current;
+  }
+  MaybeEndSlice();
+  return swapped;
 }
 
 uint64_t Core::FetchAddU64(SimAddr addr, uint64_t delta) {
@@ -467,9 +460,12 @@ uint64_t Core::FetchAddU64(SimAddr addr, uint64_t delta) {
   const uint64_t line = machine_->LineBaseOf(addr);
   now_ = machine_->PublishLine(id_, line, now_) + config_.atomic_latency;
   Emit(TraceKind::kAtomic, addr, 8);
-  auto* p = reinterpret_cast<uint64_t*>(machine_->HostPtr(addr));
-  return std::atomic_ref<uint64_t>(*p).fetch_add(delta,
-                                                 std::memory_order_acq_rel);
+  uint64_t old;
+  std::memcpy(&old, machine_->HostPtr(addr), 8);
+  const uint64_t sum = old + delta;
+  std::memcpy(machine_->HostPtr(addr), &sum, 8);
+  MaybeEndSlice();
+  return old;
 }
 
 uint64_t Core::AtomicLoadU64(SimAddr addr) {
@@ -479,8 +475,10 @@ uint64_t Core::AtomicLoadU64(SimAddr addr) {
   ++stats_.loads;
   ++icount_;
   Emit(TraceKind::kLoad, addr, 8);
-  auto* p = reinterpret_cast<uint64_t*>(machine_->HostPtr(addr));
-  return std::atomic_ref<uint64_t>(*p).load(std::memory_order_acquire);
+  uint64_t v;
+  std::memcpy(&v, machine_->HostPtr(addr), 8);
+  MaybeEndSlice();
+  return v;
 }
 
 void Core::AtomicStoreU64(SimAddr addr, uint64_t value) {
@@ -493,8 +491,8 @@ void Core::AtomicStoreU64(SimAddr addr, uint64_t value) {
   const uint64_t line = machine_->LineBaseOf(addr);
   now_ = machine_->PublishLine(id_, line, now_) + config_.atomic_latency;
   Emit(TraceKind::kAtomic, addr, 8);
-  auto* p = reinterpret_cast<uint64_t*>(machine_->HostPtr(addr));
-  std::atomic_ref<uint64_t>(*p).store(value, std::memory_order_release);
+  std::memcpy(machine_->HostPtr(addr), &value, 8);
+  MaybeEndSlice();
 }
 
 // ---- Pre-stores ----
@@ -534,14 +532,9 @@ void Core::Prestore(SimAddr addr, size_t size, PrestoreOp op) {
           SbRemove(line);
           PushBg(machine_->PublishLineDemote(id_, line, now_));
         } else {
-          bool in_l1 = false;
-          {
-            // Residency check only — Peek so a useless demote hint can't
-            // perturb the set's way hint.
-            OptionalLockGuard lock(l1_mu_, LockFree());
-            in_l1 = l1_.Peek(line) != nullptr;
-          }
-          if (in_l1) {
+          // Residency check only — Peek so a useless demote hint can't
+          // perturb the set's way hint.
+          if (l1_.Peek(line) != nullptr) {
             PushBg(machine_->PublishLineDemote(id_, line, now_));
           } else {
             // Not in a private buffer and not in L1: nothing to demote.
@@ -583,6 +576,7 @@ void Core::Prestore(SimAddr addr, size_t size, PrestoreOp op) {
     }
     Emit(TraceKind::kPrestore, line, static_cast<uint32_t>(ls));
   }
+  MaybeEndSlice();
 }
 
 void Core::StoreNt(SimAddr dst, const void* src, size_t size) {
@@ -611,6 +605,7 @@ void Core::StoreNt(SimAddr dst, const void* src, size_t size) {
     a += in_line;
     remaining -= in_line;
   }
+  MaybeEndSlice();
 }
 
 void Core::StoreNtU64(SimAddr dst, uint64_t value) {

@@ -2,17 +2,17 @@
 //
 // Functional-first, timing-directed simulation: data moves to/from backing
 // host memory immediately; the cache/store-buffer state machines track where
-// each line *would* be and charge cycles accordingly. Per-core local clocks
-// plus reservation-based shared devices let real std::threads drive multiple
-// cores concurrently.
+// each line *would* be and charge cycles accordingly. Each core keeps a
+// local clock and the shared devices keep skew-tolerant reservations, so
+// several cores can run at once: each one's work is a fiber on the
+// deterministic scheduler (scheduler.h), which ends the core's slice at the
+// end of any op that leaves its clock at or past the round deadline.
 #ifndef SRC_SIM_CORE_H_
 #define SRC_SIM_CORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -90,18 +90,23 @@ class Core {
   void Execute(uint64_t n) {
     icount_ += n;
     now_ += n;
+    MaybeEndSlice();
   }
 
   // Spin-wait pause. A spinning core must not race ahead of the cores doing
   // real work (its local clock would poison shared-device reservations), so
   // the pause advances the local clock only up to the fastest *published*
-  // core time; a core already ahead yields the host thread instead.
+  // core time; a core already there ends its slice instead.
   void SpinPause(uint64_t cycles = 30);
 
-  // Lock-free snapshot of this core's clock for cross-thread readers.
-  uint64_t PublishedNow() const {
-    return published_now_.load(std::memory_order_relaxed);
-  }
+  // Ends this core's scheduler slice without advancing its clock: the call
+  // every host-side wait for another core's progress makes (scheduler.h).
+  // A no-op outside a scheduled run.
+  void EndSlice();
+
+  // This core's clock as of its last ordering operation (fence, atomic,
+  // spin): the value SpinPause's catch-up target is built from.
+  uint64_t PublishedNow() const { return published_now_; }
 
   // Tracks an eviction writeback this core's access triggered. The per-core
   // queue is bounded: when the device falls behind, the evicting access
@@ -163,22 +168,28 @@ class Core {
   void ResetStats() { stats_ = CoreStats{}; }
   void SetNow(uint64_t t) {
     now_ = t;
-    published_now_.store(t, std::memory_order_relaxed);
+    published_now_ = t;
   }
 
   // Internal: used by Machine for cross-core coherence actions.
   SetAssocCache& l1() { return l1_; }
-  std::mutex& l1_mu() { return l1_mu_; }
 
   // Re-reads the machine's trace-sink and pre-store-hook registrations into
   // the core-local fast-path fields below. Machine calls this whenever a
-  // sink or hook is (un)installed. The cached fields are atomics, so a
-  // mid-run SetTraceSink is safe; hook (un)installation still requires
-  // quiesced cores (the hook vector itself is unsynchronized — hooks.h).
+  // sink or hook is (un)installed.
   void RefreshFastPathFlags();
 
  private:
   friend class Machine;
+  friend class SimScheduler;
+
+  // Round deadline of the running scheduler (UINT64_MAX outside a run).
+  uint64_t slice_deadline_ = UINT64_MAX;
+  void MaybeEndSlice() {
+    if (now_ >= slice_deadline_) {
+      EndSlice();
+    }
+  }
 
   // Per-line timing paths.
   void LineLoad(uint64_t line_addr);
@@ -205,51 +216,37 @@ class Core {
   // pitfall cost. Returns true when an in-flight writeback was found.
   bool WaitPendingWriteback(uint64_t line_addr);
 
-  // L1 fill with victim handling. Caller must NOT hold any lock.
+  // L1 fill with victim handling.
   void FillL1(uint64_t line_addr, bool exclusive, bool dirty);
 
   // Per-op trace emission. The unhooked case must cost one predicted
   // branch, so the sink pointer is cached core-locally (refreshed by
   // RefreshFastPathFlags) instead of being chased through the machine on
-  // every memory operation. The cache is an atomic so SetTraceSink stays
-  // safe against running cores; the uncontended acquire load compiles to a
-  // plain load on x86/ARM.
+  // every memory operation.
   void Emit(TraceKind kind, SimAddr addr, uint32_t size) {
-    TraceSink* sink = sink_fast_.load(std::memory_order_acquire);
-    if (sink == nullptr) {
+    if (sink_fast_ == nullptr) {
       return;
     }
-    sink->Record(TraceRecord{kind, id_, size, addr, icount_,
-                             CurrentFunc(), cur_chain_});
+    sink_fast_->Record(TraceRecord{kind, id_, size, addr, icount_,
+                                   CurrentFunc(), cur_chain_});
   }
-  void PublishClock();
+  void PublishClock() { published_now_ = now_; }
 
   Machine* machine_;
   uint8_t id_;
   const MachineConfig& config_;
 
-  // Cached fast-path state (see RefreshFastPathFlags). Atomics because
-  // RefreshCoreFastPaths may run (e.g. from a mid-run SetTraceSink) while
-  // this core's host thread is between ops; relaxed/acquire loads keep the
-  // per-op cost at a plain load. Hook semantics are unchanged: the hook
-  // VECTOR is still only mutated with cores quiesced (hooks.h contract) —
-  // the atomic only de-races the cached flag itself.
-  std::atomic<TraceSink*> sink_fast_{nullptr};
-  std::atomic<bool> has_hooks_{false};
-  bool HasHooks() const { return has_hooks_.load(std::memory_order_relaxed); }
-  // Exclusive-execution mirror (Machine::SetExclusiveExecution): when set,
-  // exactly one host thread drives the whole machine at a time, so the
-  // engine's serialization mutexes are elided (optlock.h). Atomic for the
-  // same reason as the fields above; per-op cost is one relaxed load.
-  std::atomic<bool> lock_free_{false};
-  bool LockFree() const { return lock_free_.load(std::memory_order_relaxed); }
+  // Cached fast-path state (see RefreshFastPathFlags).
+  TraceSink* sink_fast_ = nullptr;
+  bool has_hooks_ = false;
+  bool HasHooks() const { return has_hooks_; }
 
   // Sampled-access observation (Machine::SetAccessSampleHook). The period
   // is cached core-locally so the unobserved per-line cost is one plain
   // load + predicted branch (period == 0); the countdown survives refreshes
   // that do not change the installation, so unrelated SetTraceSink calls
   // cannot perturb the deterministic sample schedule.
-  std::atomic<AccessSampleHook*> sampler_fast_{nullptr};
+  AccessSampleHook* sampler_fast_ = nullptr;
   uint32_t sample_period_ = 0;
   uint32_t sample_countdown_ = 0;
   void MaybeSampleAccess(uint64_t line_addr, bool is_store) {
@@ -257,20 +254,17 @@ class Core {
       return;
     }
     sample_countdown_ = sample_period_;
-    AccessSampleHook* sampler =
-        sampler_fast_.load(std::memory_order_acquire);
-    if (sampler != nullptr) {
-      sampler->OnSampledAccess(id_, line_addr, is_store, now_);
+    if (sampler_fast_ != nullptr) {
+      sampler_fast_->OnSampledAccess(id_, line_addr, is_store, now_);
     }
   }
 
   uint64_t now_ = 0;
   uint64_t icount_ = 0;
-  // Periodically refreshed copy of now_, readable from other threads.
-  std::atomic<uint64_t> published_now_{0};
+  // now_ as of the last ordering operation (see PublishedNow).
+  uint64_t published_now_ = 0;
 
   SetAssocCache l1_;
-  std::mutex l1_mu_;
 
   std::deque<uint64_t> sb_;  // private store buffer: line addresses, FIFO
   std::deque<uint64_t> bg_;  // completion times of async publications

@@ -9,16 +9,13 @@
 #define SRC_SIM_DEVICE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
-#include <mutex>
 
 #include "src/sim/config.h"
 #include "src/sim/hooks.h"
 #include "src/sim/invariant.h"
-#include "src/sim/optlock.h"
 
 namespace prestore {
 
@@ -61,39 +58,9 @@ class BandwidthMeter {
   static constexpr uint64_t kWindow = 1500;
 
   // Schedules `cost` cycles of work issued at local time `now`; returns the
-  // queueing delay (0 when the device keeps up). `exclusive` asserts the
-  // caller holds the machine's single-driving-thread guarantee
-  // (Device::LockFree): the CAS loops degrade to plain relaxed
-  // load/compute/store with identical arithmetic — the CAS path's only job
-  // is atomicity against concurrent reservers, which exclusive execution
-  // rules out.
-  uint64_t Reserve(uint64_t cost, uint64_t now, bool exclusive = false) {
-    const uint64_t floor = now > kWindow ? now - kWindow : 0;
-    if (exclusive) {
-      if (ref_.load(std::memory_order_relaxed) < floor) {
-        ref_.store(floor, std::memory_order_relaxed);
-      }
-      const uint64_t vr = ref_.load(std::memory_order_relaxed);
-      const uint64_t work = work_.load(std::memory_order_relaxed);
-      const uint64_t base = work > vr ? work : vr;
-      PRESTORE_INVARIANT(base + cost >= base,
-                         "BandwidthMeter work counter overflow");
-      work_.store(base + cost, std::memory_order_relaxed);
-      return base - vr;
-    }
-    AdvanceRef(floor);
-    const uint64_t vr = ref_.load(std::memory_order_relaxed);
-    PRESTORE_INVARIANT(vr >= floor,
-                       "BandwidthMeter reference fell behind requester floor");
-    uint64_t work = work_.load(std::memory_order_relaxed);
-    uint64_t base = 0;
-    do {
-      base = work > vr ? work : vr;
-      PRESTORE_INVARIANT(base + cost >= base,
-                         "BandwidthMeter work counter overflow");
-    } while (!work_.compare_exchange_weak(work, base + cost,
-                                          std::memory_order_relaxed));
-    return base > vr ? base - vr : 0;
+  // queueing delay (0 when the device keeps up).
+  uint64_t Reserve(uint64_t cost, uint64_t now) {
+    return ReserveRun(cost, 1, now);
   }
 
   // Backlog (cycles of scheduled work the device is behind) as observed by
@@ -101,9 +68,7 @@ class BandwidthMeter {
   // idle periods retire backlog even when nothing reserves.
   uint64_t BacklogAt(uint64_t now) {
     AdvanceRef(now > kWindow ? now - kWindow : 0);
-    const uint64_t vr = ref_.load(std::memory_order_relaxed);
-    const uint64_t work = work_.load(std::memory_order_relaxed);
-    return work > vr ? work - vr : 0;
+    return work_ > ref_ ? work_ - ref_ : 0;
   }
 
   // Closed-form batch reservation: charges `count` back-to-back
@@ -122,18 +87,12 @@ class BandwidthMeter {
     if (count == 0) {
       return 0;
     }
-    const uint64_t floor = now > kWindow ? now - kWindow : 0;
-    AdvanceRef(floor);
-    const uint64_t vr = ref_.load(std::memory_order_relaxed);
-    uint64_t work = work_.load(std::memory_order_relaxed);
-    uint64_t base = 0;
-    do {
-      base = work > vr ? work : vr;
-      PRESTORE_INVARIANT(base + cost * count >= base,
-                         "BandwidthMeter work counter overflow");
-    } while (!work_.compare_exchange_weak(work, base + cost * count,
-                                          std::memory_order_relaxed));
-    return base > vr ? base - vr : 0;
+    AdvanceRef(now > kWindow ? now - kWindow : 0);
+    const uint64_t base = work_ > ref_ ? work_ : ref_;
+    PRESTORE_INVARIANT(base + cost * count >= base,
+                       "BandwidthMeter work counter overflow");
+    work_ = base + cost * count;
+    return base - ref_;
   }
 
   // Applies an observation floor deferred by a caller-side cache (see
@@ -147,7 +106,7 @@ class BandwidthMeter {
   // Scheduled-work high-water accessor for caller-side backlog caches: a
   // meter whose work counter is at or below a requester's floor cannot
   // report backlog to that requester.
-  uint64_t WorkMark() const { return work_.load(std::memory_order_relaxed); }
+  uint64_t WorkMark() const { return work_; }
 
   // Retires all scheduled work, modeling idle wall-clock time passing until
   // the device catches up (the "sleep after the load phase" every real
@@ -155,25 +114,15 @@ class BandwidthMeter {
   // reference is safe for requesters whose clocks lag it: delays are
   // computed against max(work, ref), so a quiesced meter simply reports no
   // queueing until new work accumulates. Call only between measured runs.
-  void Quiesce() {
-    const uint64_t work = work_.load(std::memory_order_relaxed);
-    AdvanceRef(work);
-  }
+  void Quiesce() { AdvanceRef(work_); }
 
  private:
-  void AdvanceRef(uint64_t floor) {
-    uint64_t vr = ref_.load(std::memory_order_relaxed);
-    while (vr < floor && !ref_.compare_exchange_weak(
-                             vr, floor, std::memory_order_relaxed)) {
-    }
-    // The CAS loop only ever raises ref_, so the reference is monotone: no
-    // requester may observe it moving backwards in time.
-    PRESTORE_INVARIANT(ref_.load(std::memory_order_relaxed) >= floor,
-                       "BandwidthMeter reference is not monotone");
-  }
+  // Only ever raises the reference, so no requester may observe it moving
+  // backwards in time.
+  void AdvanceRef(uint64_t floor) { ref_ = std::max(ref_, floor); }
 
-  std::atomic<uint64_t> work_{0};
-  std::atomic<uint64_t> ref_{0};
+  uint64_t work_ = 0;
+  uint64_t ref_ = 0;
 };
 
 class Device {
@@ -231,40 +180,21 @@ class Device {
 
   const DeviceConfig& config() const { return config_; }
 
-  DeviceStats Stats() const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return stats_;
-  }
+  const DeviceStats& Stats() const { return stats_; }
 
-  void ResetStats() {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_ = DeviceStats{};
-  }
+  void ResetStats() { stats_ = DeviceStats{}; }
 
   // Installs (or clears, with nullptr) the fault-injection hook. Install
   // before a measured run; the hook must outlive the run.
-  void SetFaultHook(DeviceFaultHook* hook) {
-    fault_hook_.store(hook, std::memory_order_release);
-  }
+  void SetFaultHook(DeviceFaultHook* hook) { fault_hook_ = hook; }
 
   // Whether a fault-injection hook is installed. The batched writeback
   // trains (WriteTrain) fall back to per-write charging while one is: hooks
   // may keep per-call state, so they must see every access individually.
-  bool HasFaultHook() const {
-    return fault_hook_.load(std::memory_order_acquire) != nullptr;
-  }
-
-  // Exclusive-execution mirror (Machine::SetExclusiveExecution): while set,
-  // the device's internal serialization mutexes are elided (optlock.h) —
-  // the caller guarantees single-threaded access. Stats snapshots keep
-  // their lock (they are off the hot path and may run from monitors).
-  void SetLockFree(bool on) { lock_free_.store(on, std::memory_order_release); }
+  bool HasFaultHook() const { return fault_hook_ != nullptr; }
 
  protected:
-  DeviceFaultHook* fault_hook() const {
-    return fault_hook_.load(std::memory_order_acquire);
-  }
-  bool LockFree() const { return lock_free_.load(std::memory_order_relaxed); }
+  DeviceFaultHook* fault_hook() const { return fault_hook_; }
 
   // Cycles of work `bytes` reserves on a meter, with any active
   // bandwidth-throttle fault applied.
@@ -277,8 +207,7 @@ class Device {
   }
 
   uint64_t ReserveBandwidth(uint32_t bytes, uint64_t now, double cpb) {
-    return now +
-           interface_.Reserve(TransferCost(bytes, now, cpb), now, LockFree());
+    return now + interface_.Reserve(TransferCost(bytes, now, cpb), now);
   }
 
   // Latency-spike fault contribution for an access issued at `now`.
@@ -288,12 +217,10 @@ class Device {
   }
 
   const DeviceConfig config_;
-  mutable std::mutex stats_mu_;
   DeviceStats stats_;
 
   BandwidthMeter interface_;
-  std::atomic<DeviceFaultHook*> fault_hook_{nullptr};
-  std::atomic<bool> lock_free_{false};
+  DeviceFaultHook* fault_hook_ = nullptr;
 };
 
 // Conventional DRAM: fixed latency + interface bandwidth; writes to the media
@@ -389,14 +316,13 @@ class PmemDevice : public Device {
   uint64_t InternalBacklogAt(uint64_t now) override {
     const uint64_t floor =
         now > BandwidthMeter::kWindow ? now - BandwidthMeter::kWindow : 0;
-    RecordObservedFloor(floor);
-    if (media_work_peak_.load(std::memory_order_relaxed) <= floor) {
+    observed_floor_ = std::max(observed_floor_, floor);
+    if (media_work_peak_ <= floor) {
       return 0;
     }
-    const uint64_t observed = observed_floor_.load(std::memory_order_relaxed);
     uint64_t max_backlog = 0;
     for (Dimm& d : dimms_) {
-      d.media.ObserveFloor(observed);
+      d.media.ObserveFloor(observed_floor_);
       max_backlog = std::max(max_backlog, d.media.BacklogAt(now));
     }
     return max_backlog;
@@ -440,7 +366,6 @@ class PmemDevice : public Device {
   // sizeof(BufferedBlock)*capacity shift.
   struct Dimm {
     BandwidthMeter media;
-    std::mutex mu;
     std::vector<BufferedBlock> slots;
     std::vector<uint16_t> index;  // hash(block) -> slot, kIndexEmpty = free
     uint64_t stamp_counter = 0;
@@ -460,19 +385,6 @@ class PmemDevice : public Device {
   uint16_t* IndexFind(Dimm& d, uint64_t block);
   void IndexInsert(Dimm& d, uint64_t block, uint16_t slot);
   void IndexErase(Dimm& d, uint64_t block);
-
-  void RecordObservedFloor(uint64_t floor) {
-    uint64_t cur = observed_floor_.load(std::memory_order_relaxed);
-    while (cur < floor && !observed_floor_.compare_exchange_weak(
-                              cur, floor, std::memory_order_relaxed)) {
-    }
-  }
-  void RecordMediaPeak(uint64_t mark) {
-    uint64_t cur = media_work_peak_.load(std::memory_order_relaxed);
-    while (cur < mark && !media_work_peak_.compare_exchange_weak(
-                             cur, mark, std::memory_order_relaxed)) {
-    }
-  }
 
   Dimm& DimmFor(uint64_t addr) {
     if (pow2_geometry_) {
@@ -506,8 +418,8 @@ class PmemDevice : public Device {
   // the maximum observation floor whose reference advance is still owed to
   // the per-DIMM meters. Together they implement the InternalBacklogAt
   // fast path above.
-  std::atomic<uint64_t> media_work_peak_{0};
-  std::atomic<uint64_t> observed_floor_{0};
+  uint64_t media_work_peak_ = 0;
+  uint64_t observed_floor_ = 0;
   // Constructor-computed TouchBlock constants (see constructor comment).
   // config_.media_cycles_per_byte is the AGGREGATE bandwidth; each module
   // provides 1/N of it, hence the dimms_ factor in the block costs.

@@ -1,118 +1,44 @@
 // Parallel-execution harness: runs a workload body on N simulated cores
-// (driven by N host threads) and reports simulated elapsed cycles.
+// (fibers on the deterministic scheduler, scheduler.h) and reports
+// simulated elapsed cycles.
 #ifndef SRC_SIM_HARNESS_H_
 #define SRC_SIM_HARNESS_H_
 
-#include <chrono>
-#include <condition_variable>
+#include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include <stdexcept>
+#include <string>
 
 #include "src/sim/machine.h"
+#include "src/sim/scheduler.h"
 
 namespace prestore {
 
-struct RunParallelOptions {
-  // Wall-clock watchdog: if the workers have not all finished within this
-  // many milliseconds, the harness prints per-core clock diagnostics and
-  // aborts the process (a wedged simulated core must fail the run, not hang
-  // CTest forever). 0 = take the default from the PRESTORE_WATCHDOG_MS
-  // environment variable (absent/0 = watchdog disabled).
-  uint64_t watchdog_ms = 0;
-};
-
-namespace harness_internal {
-
-inline uint64_t DefaultWatchdogMs() {
-  static const uint64_t ms = [] {
-    const char* env = std::getenv("PRESTORE_WATCHDOG_MS");
-    return env != nullptr ? std::strtoull(env, nullptr, 10) : 0ULL;
-  }();
-  return ms;
-}
-
-[[noreturn]] inline void WatchdogAbort(Machine& machine, uint32_t nthreads,
-                                       const std::vector<bool>& finished,
-                                       uint64_t watchdog_ms) {
-  std::fprintf(stderr,
-               "RunParallel watchdog: run exceeded %llu ms; aborting.\n"
-               "Per-core diagnostics (published simulated clocks):\n",
-               static_cast<unsigned long long>(watchdog_ms));
-  for (uint32_t i = 0; i < nthreads; ++i) {
-    std::fprintf(stderr, "  core %2u: now=%llu  %s\n", i,
-                 static_cast<unsigned long long>(
-                     machine.core(i).PublishedNow()),
-                 finished[i] ? "finished" : "STILL RUNNING");
-  }
-  std::abort();
-}
-
-}  // namespace harness_internal
-
-// Aligns all core clocks, runs fn(core, thread_index) on cores [0, nthreads),
-// and returns the simulated cycle count of the slowest core (the paper's
-// notion of parallel runtime).
+// Aligns all core clocks, runs fn(core, thread_index) on cores [0, nthreads)
+// as fibers on SimScheduler rounds of `config.quantum` cycles, and returns
+// the simulated cycle count of the slowest core (the paper's notion of
+// parallel runtime). Throws std::invalid_argument when the machine has
+// fewer than `nthreads` cores.
 //
-// An exception thrown by `fn` on any worker is captured (first one wins),
-// the remaining workers are joined, and the exception is rethrown on the
-// caller — it no longer calls std::terminate.
+// An exception thrown by `fn` ends that body only; the other bodies run to
+// completion and the first exception is then rethrown on the caller.
 inline uint64_t RunParallel(Machine& machine, uint32_t nthreads,
                             const std::function<void(Core&, uint32_t)>& fn,
-                            const RunParallelOptions& options = {}) {
-  const uint64_t start = machine.AlignCores();
-  const uint64_t watchdog_ms = options.watchdog_ms != 0
-                                   ? options.watchdog_ms
-                                   : harness_internal::DefaultWatchdogMs();
-  if (nthreads <= 1 && watchdog_ms == 0) {
-    fn(machine.core(0), 0);
-  } else {
-    std::mutex mu;
-    std::condition_variable cv;
-    uint32_t done = 0;
-    std::vector<bool> finished(nthreads, false);
-    std::exception_ptr first_error;
-
-    std::vector<std::thread> threads;
-    threads.reserve(nthreads);
-    for (uint32_t i = 0; i < nthreads; ++i) {
-      threads.emplace_back([&, i] {
-        std::exception_ptr error;
-        try {
-          fn(machine.core(i), i);
-        } catch (...) {
-          error = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        if (error != nullptr && first_error == nullptr) {
-          first_error = error;
-        }
-        finished[i] = true;
-        ++done;
-        cv.notify_all();
-      });
-    }
-
-    if (watchdog_ms != 0) {
-      std::unique_lock<std::mutex> lock(mu);
-      if (!cv.wait_for(lock, std::chrono::milliseconds(watchdog_ms),
-                       [&] { return done == nthreads; })) {
-        harness_internal::WatchdogAbort(machine, nthreads, finished,
-                                        watchdog_ms);
-      }
-    }
-    for (auto& t : threads) {
-      t.join();
-    }
-    if (first_error != nullptr) {
-      std::rethrow_exception(first_error);
-    }
+                            const SchedulerConfig& config = {}) {
+  if (nthreads > machine.num_cores()) {
+    throw std::invalid_argument(
+        "RunParallel: " + std::to_string(nthreads) + " bodies on a " +
+        std::to_string(machine.num_cores()) + "-core machine");
   }
+  const uint64_t start = machine.AlignCores();
+  SimScheduler scheduler(config);
+  scheduler.AddMachine(machine);
+  for (uint32_t i = 0; i < nthreads; ++i) {
+    Core& core = machine.core(i);
+    scheduler.Spawn(&core, [&fn, &core, i] { fn(core, i); });
+  }
+  scheduler.Run(start);
   uint64_t end = start;
   for (uint32_t i = 0; i < nthreads; ++i) {
     end = std::max(end, machine.core(i).now());

@@ -3,9 +3,8 @@
 // timing paths, and pre-store hint hooks into the core's issue path.
 //
 // Hooks are installed on a Machine (or a Device) BEFORE a measured run and
-// must stay alive until the run finishes; installation is not thread-safe
-// with respect to running cores. All callbacks may be invoked concurrently
-// from every core's host thread and must be internally synchronized.
+// must stay alive until the run finishes. Callbacks run on the host thread
+// driving the cores (scheduler.h), never concurrently.
 #ifndef SRC_SIM_HOOKS_H_
 #define SRC_SIM_HOOKS_H_
 
@@ -101,8 +100,7 @@ class AccessSampleHook {
   virtual uint32_t SamplePeriod() const = 0;
 
   // Every SamplePeriod()-th line access of core `core`. `now` is the
-  // core's local clock at the sampled access. May be invoked concurrently
-  // from every core's host thread.
+  // core's local clock at the sampled access.
   virtual void OnSampledAccess(uint8_t core, uint64_t line_addr,
                                bool is_write, uint64_t now) = 0;
 };

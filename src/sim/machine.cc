@@ -1,7 +1,6 @@
 #include "src/sim/machine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
@@ -9,32 +8,20 @@
 
 namespace prestore {
 
+namespace {
+
+const MachineConfig& Validated(const MachineConfig& config) {
+  config.Validate();
+  return config;
+}
+
+}  // namespace
+
 Machine::Machine(const MachineConfig& config)
-    : config_(config),
+    : config_(Validated(config)),
       dram_(MakeDevice(config.dram)),
-      target_(MakeDevice(config.target)) {
-  config_.l1.Validate("l1");
-  config_.llc.Validate("llc");
-  assert(config_.l1.line_size == config_.line_size &&
-         config_.llc.line_size == config_.line_size &&
-         "cache line sizes must match the machine line size");
-  // The LLC is kNumShards independent sub-caches; global set g lives in
-  // shard g % kNumShards. The per-shard SetAssocCache draws its sets'
-  // replacement RNG from the shared global-set-order stream, so the sharded
-  // LLC makes bit-identical decisions to the monolithic one it replaced.
-  llc_shards_ = std::vector<LlcShard>(kNumShards);
-  for (size_t s = 0; s < kNumShards; ++s) {
-    llc_shards_[s].cache = std::make_unique<SetAssocCache>(
-        config.llc, config.seed ^ 0x11c, s, kNumShards);
-  }
-  llc_global_sets_ = llc_shards_[0].cache->global_sets();
-  llc_set_mask_ = (llc_global_sets_ & (llc_global_sets_ - 1)) == 0
-                      ? llc_global_sets_ - 1
-                      : 0;
-  llc_set_mod_ = ModReciprocal(llc_global_sets_);
-  for (uint32_t ls = config_.llc.line_size; ls > 1; ls >>= 1) {
-    ++llc_line_shift_;
-  }
+      target_(MakeDevice(config.target)),
+      llc_(std::make_unique<SetAssocCache>(config.llc, config.seed ^ 0x11c)) {
   // Advise huge pages before the zero-fill touches the backing stores:
   // replay traces stride randomly through both regions, and on 4 KiB
   // pages nearly every host data access would pay a page walk.
@@ -44,7 +31,6 @@ Machine::Machine(const MachineConfig& config)
   target_backing_.reserve(config_.target_region_bytes);
   AdviseHugePages(target_backing_.data(), target_backing_.capacity());
   target_backing_.resize(config_.target_region_bytes);
-  hstripes_ = std::make_unique<MachineStatStripe[]>(config_.num_cores);
   cores_.reserve(config_.num_cores);
   for (uint32_t i = 0; i < config_.num_cores; ++i) {
     cores_.push_back(
@@ -64,23 +50,19 @@ SimAddr Machine::Alloc(uint64_t bytes, Region region, uint64_t align) {
   if (align == 0) {
     align = config_.line_size;
   }
-  auto& brk = region == Region::kTarget ? target_brk_ : dram_brk_;
+  uint64_t& brk = region == Region::kTarget ? target_brk_ : dram_brk_;
   const uint64_t limit = region == Region::kTarget ? target_backing_.size()
                                                    : dram_backing_.size();
-  uint64_t cur = brk.load(std::memory_order_relaxed);
-  uint64_t start = 0;
-  do {
-    start = (cur + align - 1) & ~(align - 1);
-    if (start + bytes > limit) {
-      std::fprintf(stderr, "simulated %s region exhausted (%llu + %llu > %llu)\n",
-                   region == Region::kTarget ? "target" : "dram",
-                   static_cast<unsigned long long>(start),
-                   static_cast<unsigned long long>(bytes),
-                   static_cast<unsigned long long>(limit));
-      std::abort();
-    }
-  } while (!brk.compare_exchange_weak(cur, start + bytes,
-                                      std::memory_order_relaxed));
+  const uint64_t start = (brk + align - 1) & ~(align - 1);
+  if (start + bytes > limit) {
+    std::fprintf(stderr, "simulated %s region exhausted (%llu + %llu > %llu)\n",
+                 region == Region::kTarget ? "target" : "dram",
+                 static_cast<unsigned long long>(start),
+                 static_cast<unsigned long long>(bytes),
+                 static_cast<unsigned long long>(limit));
+    std::abort();
+  }
+  brk = start + bytes;
   return (region == Region::kTarget ? kTargetBase : kDramBase) + start;
 }
 
@@ -109,12 +91,7 @@ uint64_t Machine::AlignCores() {
 }
 
 void Machine::ResetStats() {
-  for (size_t i = 0; i < cores_.size(); ++i) {
-    hstripes_[i].Reset();
-  }
-  if (shadow_hstats_ != nullptr) {
-    shadow_hstats_->Reset();
-  }
+  hstats_ = MachineStats{};
   dram_->ResetStats();
   target_->ResetStats();
   for (auto& c : cores_) {
@@ -122,26 +99,19 @@ void Machine::ResetStats() {
   }
 }
 
-// Back-invalidates the victim's L1 sharers and accounts the eviction.
-// Returns true when a dirty writeback is owed (the device work itself runs
-// AFTER the caller drops the shard lock — see FinishEvictionWriteback — so
-// the shard critical section never spans a device-meter reservation).
-bool Machine::HandleLlcVictimLocked(uint8_t self,
-                                    const SetAssocCache::Victim& victim) {
+bool Machine::HandleLlcVictim(const SetAssocCache::Victim& victim) {
   if (!victim.valid) {
     return false;
   }
-  Bump(self, &MachineStatStripe::llc_evictions);
+  ++hstats_.llc_evictions;
   bool dirty = victim.dirty;
   uint64_t sharers = victim.sharers;
   while (sharers != 0) {
     const int s = __builtin_ctzll(sharers);
     sharers &= sharers - 1;
-    Core& c = *cores_[s];
-    OptionalLockGuard l1_lock(c.l1_mu(), exclusive_execution());
     CacheLineMeta was;
-    if (c.l1().Remove(victim.line_addr, &was)) {
-      Bump(self, &MachineStatStripe::back_invalidations);
+    if (cores_[s]->l1().Remove(victim.line_addr, &was)) {
+      ++hstats_.back_invalidations;
       if (was.dirty) {
         dirty = true;
       }
@@ -159,7 +129,7 @@ uint64_t Machine::FinishEvictionWriteback(uint8_t self, uint64_t line_addr,
       DeviceFor(line_addr).Write(line_addr, config_.line_size, now);
   const uint64_t proceed = cores_[self]->NoteEvictionWriteback(acceptance, now);
   if (proceed > now) {
-    Bump(self, &MachineStatStripe::wbq_stall_cycles, proceed - now);
+    hstats_.wbq_stall_cycles += proceed - now;
   }
   return proceed;
 }
@@ -184,8 +154,8 @@ uint64_t StreamDiscount(uint64_t start, uint64_t completion,
 }
 
 // Directory update for the access mode; the final step of every LLC access
-// once the coherence protocol has run, under the line's shard lock.
-void ApplyAccessModeLocked(CacheLineMeta* meta, uint8_t self,
+// once the coherence protocol has run.
+void ApplyAccessMode(CacheLineMeta* meta, uint8_t self,
                            Machine::AccessMode mode, bool incoming_dirty) {
   switch (mode) {
     case Machine::AccessMode::kRead:
@@ -205,19 +175,17 @@ void ApplyAccessModeLocked(CacheLineMeta* meta, uint8_t self,
 
 }  // namespace
 
-uint64_t Machine::LlcHitLocked(uint8_t self, uint64_t line_addr,
-                               AccessMode mode, bool incoming_dirty,
-                               Device& dev, bool far, CacheLineMeta* meta,
-                               uint64_t t) {
-  Bump(self, &MachineStatStripe::llc_hits);
+uint64_t Machine::LlcHit(uint8_t self, uint64_t line_addr, AccessMode mode,
+                         bool incoming_dirty, Device& dev, bool far,
+                         CacheLineMeta* meta, uint64_t t) {
+  ++hstats_.llc_hits;
   t += config_.llc.hit_latency;
   const uint8_t prev_owner = meta->owner;
   if (prev_owner != kNoOwner && prev_owner != self) {
     // Another core's L1 holds the line Modified: intervene.
-    Bump(self, &MachineStatStripe::interventions);
+    ++hstats_.interventions;
     t += config_.snoop_latency;
     Core& owner = *cores_[prev_owner];
-    OptionalLockGuard l1_lock(owner.l1_mu(), exclusive_execution());
     CacheLineMeta* ol = owner.l1().Probe(line_addr);
     if (mode == AccessMode::kRead) {
       if (ol != nullptr) {
@@ -240,9 +208,7 @@ uint64_t Machine::LlcHitLocked(uint8_t self, uint64_t line_addr,
       while (others != 0) {
         const int s = __builtin_ctzll(others);
         others &= others - 1;
-        Core& c = *cores_[s];
-        OptionalLockGuard l1_lock(c.l1_mu(), exclusive_execution());
-        c.l1().Remove(line_addr);
+        cores_[s]->l1().Remove(line_addr);
         meta->sharers &= ~(1ULL << s);
       }
     }
@@ -251,7 +217,7 @@ uint64_t Machine::LlcHitLocked(uint8_t self, uint64_t line_addr,
       t = dev.DirectoryAccess(t);
     }
   }
-  ApplyAccessModeLocked(meta, self, mode, incoming_dirty);
+  ApplyAccessMode(meta, self, mode, incoming_dirty);
   return t;
 }
 
@@ -260,62 +226,27 @@ uint64_t Machine::LlcAccess(uint8_t self, uint64_t line_addr, AccessMode mode,
                             bool incoming_dirty) {
   Device& dev = DeviceFor(line_addr);
   const bool far = dev.config().kind == DeviceKind::kFarMemory;
-  uint64_t t = start;
-
-  LlcShard& shard = ShardFor(line_addr);
-  {
-    OptionalLockGuard shard_lock(shard.mu, exclusive_execution());
-    CacheLineMeta* meta = shard.cache->Touch(line_addr);
-    if (meta != nullptr) {
-      return LlcHitLocked(self, line_addr, mode, incoming_dirty, dev, far,
-                          meta, t);
-    }
+  CacheLineMeta* meta = llc_->Touch(line_addr);
+  if (meta != nullptr) {
+    return LlcHit(self, line_addr, mode, incoming_dirty, dev, far, meta,
+                  start);
   }
-
-  // Probable miss. The device work — (for writes to far memory) directory
-  // update, then the line read — runs with the shard UNLOCKED: it only
-  // touches the device's own synchronization, and keeping it out of the
-  // shard critical section keeps other cores' accesses to the shard's sets
-  // moving. On a single driving thread the instruction order is exactly the
-  // pre-split order, so sequential replays are bit-identical. Hit/miss
-  // accounting waits until the re-probe below settles which one this is.
+  // Miss: (for writes to far memory) directory update, then the line read,
+  // then the fill. A failed Touch mutates nothing, so the insert sees the
+  // set exactly as the probe left it.
+  ++hstats_.llc_misses;
+  uint64_t t = start;
   if (mode != AccessMode::kRead && far) {
+    ++hstats_.dir_upgrades;
     t = dev.DirectoryAccess(t);
   }
   const uint64_t read_done = dev.Read(line_addr, config_.line_size, t);
   t = StreamDiscount(t, read_done, dev.config().read_latency, streamed);
-
-  bool wb_owed = false;
-  uint64_t victim_line = 0;
-  {
-    OptionalLockGuard shard_lock(shard.mu, exclusive_execution());
-    SetAssocCache& llc = *shard.cache;
-    // Re-probe: while the shard was unlocked another core may have filled
-    // the line (concurrent runs only — a failed Touch mutates nothing, so a
-    // sequential replay re-misses with untouched state). A refilled line may
-    // carry a new Modified owner or new sharers, so the access must run the
-    // full hit protocol, exactly as if the first probe had hit; it is
-    // counted as a hit. The speculative device read (and, for far writes,
-    // the directory access) already reserved its meter work and stays in
-    // `t` — a concurrent-mode-only latency/meter pessimism.
-    CacheLineMeta* meta = llc.Touch(line_addr);
-    if (meta != nullptr) {
-      return LlcHitLocked(self, line_addr, mode, incoming_dirty, dev, far,
-                          meta, t);
-    }
-    Bump(self, &MachineStatStripe::llc_misses);
-    if (mode != AccessMode::kRead && far) {
-      Bump(self, &MachineStatStripe::dir_upgrades);
-    }
-    SetAssocCache::Victim victim = llc.Insert(line_addr, false, &meta);
-    if (HandleLlcVictimLocked(self, victim)) {
-      wb_owed = true;
-      victim_line = victim.line_addr;
-    }
-    ApplyAccessModeLocked(meta, self, mode, incoming_dirty);
-  }
+  const SetAssocCache::Victim victim = llc_->Insert(line_addr, false, &meta);
+  const bool wb_owed = HandleLlcVictim(victim);
+  ApplyAccessMode(meta, self, mode, incoming_dirty);
   if (wb_owed) {
-    t = std::max(t, FinishEvictionWriteback(self, victim_line, start));
+    t = std::max(t, FinishEvictionWriteback(self, victim.line_addr, start));
   }
   return t;
 }
@@ -323,13 +254,10 @@ uint64_t Machine::LlcAccess(uint8_t self, uint64_t line_addr, AccessMode mode,
 uint64_t Machine::PublishLine(uint8_t self, uint64_t line_addr,
                               uint64_t start) {
   Core& core = *cores_[self];
-  {
-    OptionalLockGuard l1_lock(core.l1_mu(), exclusive_execution());
-    CacheLineMeta* meta = core.l1().Touch(line_addr);
-    if (meta != nullptr && meta->exclusive) {
-      meta->dirty = true;
-      return start + 1;
-    }
+  CacheLineMeta* meta = core.l1().Touch(line_addr);
+  if (meta != nullptr && meta->exclusive) {
+    meta->dirty = true;
+    return start + 1;
   }
   const uint64_t t = LlcAccess(self, line_addr, AccessMode::kWrite, start);
   core.FillL1(line_addr, /*exclusive=*/true, /*dirty=*/true);
@@ -340,46 +268,33 @@ uint64_t Machine::PublishLineDemote(uint8_t self, uint64_t line_addr,
                                     uint64_t start) {
   Core& core = *cores_[self];
   bool dirty = true;  // demoted data from the store buffer is modified
-  {
-    OptionalLockGuard l1_lock(core.l1_mu(), exclusive_execution());
-    CacheLineMeta was;
-    if (core.l1().Remove(line_addr, &was)) {
-      dirty = was.dirty;
-    }
+  CacheLineMeta was;
+  if (core.l1().Remove(line_addr, &was)) {
+    dirty = was.dirty;
   }
   return LlcAccess(self, line_addr, AccessMode::kDemote, start,
                    /*streamed=*/false, /*incoming_dirty=*/dirty);
 }
 
 uint64_t Machine::CleanLine(uint8_t self, uint64_t line_addr, uint64_t start) {
-  Core& core = *cores_[self];
   bool dirty = false;
-  {
-    OptionalLockGuard l1_lock(core.l1_mu(), exclusive_execution());
-    CacheLineMeta* meta = core.l1().Probe(line_addr);
-    if (meta != nullptr && meta->dirty) {
-      meta->dirty = false;
-      dirty = true;
-    }
+  CacheLineMeta* mine = cores_[self]->l1().Probe(line_addr);
+  if (mine != nullptr && mine->dirty) {
+    mine->dirty = false;
+    dirty = true;
   }
-  {
-    LlcShard& shard = ShardFor(line_addr);
-    OptionalLockGuard shard_lock(shard.mu, exclusive_execution());
-    CacheLineMeta* meta = shard.cache->Probe(line_addr);
-    if (meta != nullptr) {
-      if (meta->owner != kNoOwner && meta->owner != self) {
-        Core& owner = *cores_[meta->owner];
-        OptionalLockGuard l1_lock(owner.l1_mu(), exclusive_execution());
-        CacheLineMeta* ol = owner.l1().Probe(line_addr);
-        if (ol != nullptr && ol->dirty) {
-          ol->dirty = false;
-          dirty = true;
-        }
-      }
-      if (meta->dirty) {
-        meta->dirty = false;
+  CacheLineMeta* meta = llc_->Probe(line_addr);
+  if (meta != nullptr) {
+    if (meta->owner != kNoOwner && meta->owner != self) {
+      CacheLineMeta* ol = cores_[meta->owner]->l1().Probe(line_addr);
+      if (ol != nullptr && ol->dirty) {
+        ol->dirty = false;
         dirty = true;
       }
+    }
+    if (meta->dirty) {
+      meta->dirty = false;
+      dirty = true;
     }
   }
   if (!dirty) {
@@ -389,35 +304,21 @@ uint64_t Machine::CleanLine(uint8_t self, uint64_t line_addr, uint64_t start) {
 }
 
 void Machine::InvalidateLine(uint8_t self, uint64_t line_addr) {
-  {
-    LlcShard& shard = ShardFor(line_addr);
-    OptionalLockGuard shard_lock(shard.mu, exclusive_execution());
-    CacheLineMeta* meta = shard.cache->Probe(line_addr);
-    if (meta != nullptr) {
-      uint64_t sharers = meta->sharers;
-      while (sharers != 0) {
-        const int s = __builtin_ctzll(sharers);
-        sharers &= sharers - 1;
-        Core& c = *cores_[s];
-        OptionalLockGuard l1_lock(c.l1_mu(), exclusive_execution());
-        c.l1().Remove(line_addr);
-      }
-      shard.cache->Remove(line_addr);
+  CacheLineMeta* meta = llc_->Probe(line_addr);
+  if (meta != nullptr) {
+    uint64_t sharers = meta->sharers;
+    while (sharers != 0) {
+      const int s = __builtin_ctzll(sharers);
+      sharers &= sharers - 1;
+      cores_[s]->l1().Remove(line_addr);
     }
+    llc_->Remove(line_addr);
   }
-  Core& core = *cores_[self];
-  OptionalLockGuard l1_lock(core.l1_mu(), exclusive_execution());
-  core.l1().Remove(line_addr);
+  cores_[self]->l1().Remove(line_addr);
 }
 
 std::vector<uint64_t> Machine::LlcValidLines() const {
-  std::vector<uint64_t> lines;
-  lines.reserve(llc_global_sets_ * config_.llc.ways);
-  for (const LlcShard& shard : llc_shards_) {
-    for (uint64_t line : shard.cache->ValidLines()) {
-      lines.push_back(line);
-    }
-  }
+  std::vector<uint64_t> lines = llc_->ValidLines();
   std::sort(lines.begin(), lines.end());
   return lines;
 }
@@ -430,8 +331,8 @@ void Machine::FlushAll() {
   // Collect the dirty lines per device, in walk order, and issue each
   // device's lines as one write train (Device::WriteTrain — the batched
   // clean-sweep charging path). Same-device write order is preserved
-  // exactly — the L1 walks then the GLOBAL-set-order, way-minor LLC walk,
-  // the order the per-line code issued — because PMEM write-combining
+  // exactly — the L1 walks then the set-order, way-minor LLC walk, the
+  // order the per-line code issued — because PMEM write-combining
   // (XPBuffer LRU and coalescing) makes media-byte counters depend on it.
   // Splitting by device reorders only across devices, which commutes:
   // the two devices share no meter, buffer, or stats state, and every
@@ -442,7 +343,6 @@ void Machine::FlushAll() {
     (line >= kTargetBase ? target_lines : dram_lines).push_back(line);
   };
   for (auto& c : cores_) {
-    OptionalLockGuard l1_lock(c->l1_mu(), exclusive_execution());
     for (uint64_t line : c->l1().ValidLines()) {
       CacheLineMeta* meta = c->l1().Probe(line);
       if (meta->dirty) {
@@ -451,14 +351,8 @@ void Machine::FlushAll() {
       }
     }
   }
-  for (uint64_t g = 0; g < llc_global_sets_; ++g) {
-    LlcShard& shard = llc_shards_[g & (kNumShards - 1)];
-    OptionalLockGuard shard_lock(shard.mu, exclusive_execution());
-    const uint64_t local = g / kNumShards;
-    if (local >= shard.cache->num_sets()) {
-      continue;
-    }
-    CacheLineMeta* base = shard.cache->SetData(local);
+  for (uint64_t set = 0; set < llc_->num_sets(); ++set) {
+    CacheLineMeta* base = llc_->SetData(set);
     for (uint32_t w = 0; w < config_.llc.ways; ++w) {
       CacheLineMeta& meta = base[w];
       if (meta.valid && meta.dirty) {

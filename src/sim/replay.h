@@ -3,19 +3,14 @@
 //
 // The trace is generated once, host-side, outside the measured window, so a
 // replay exercises pure engine work: store-buffer bookkeeping, L1 probes,
-// LLC accesses, device timing. Three replay modes:
-//  - concurrent (free-running): worker i's trace runs on core i from its
-//    own host thread (RunParallel) — fastest when host cores are plentiful,
-//    nondeterministic interleaving, oversubscription cliff past
-//    hw_concurrency;
-//  - sliced: worker i's trace runs on core i under the deterministic
-//    time-sliced scheduler (scheduler.h) — bit-deterministic for any host
-//    thread count, immune to oversubscription;
+// LLC accesses, device timing. Two replay modes:
+//  - sliced: worker i's trace runs on core i as a fiber on the
+//    deterministic scheduler (scheduler.h) — the execution model every
+//    workload uses, bit-deterministic for a fixed trace and quantum;
 //  - sequential: the traces run to completion one core at a time on the
 //    calling host thread — bit-deterministic for a fixed seed, the basis of
-//    the determinism digests in tests/sim_determinism_test.cc and the
-//    benchmark's self-check.
-// In every mode each op goes through the core's ordinary per-line timing
+//    the recorded determinism digests in tests/sim_determinism_test.cc.
+// In both modes each op goes through the core's ordinary per-line timing
 // path (LoadU64 / StoreU64 / Prestore), the same path every other workload
 // takes.
 #ifndef SRC_SIM_REPLAY_H_
@@ -23,12 +18,10 @@
 
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/sim/harness.h"
 #include "src/sim/machine.h"
-#include "src/sim/scheduler.h"
 #include "src/util/rng.h"
 #include "src/util/zipf.h"
 
@@ -82,8 +75,7 @@ struct ReplayTrace {
   uint64_t total_accesses = 0;  // loads + stores across all workers
 };
 
-// Aggregated shared-hierarchy counters as plain integers (readable from the
-// striped stats and, historically, from the atomic ones).
+// Aggregated shared-hierarchy counters of a replay.
 struct HierarchyCounts {
   uint64_t llc_hits = 0;
   uint64_t llc_misses = 0;
@@ -228,62 +220,26 @@ inline ReplayResult Finish(Machine& machine, const ReplayTrace& trace,
 
 }  // namespace replay_internal
 
-// Concurrent replay: worker i's ops on core i, one host thread per worker.
-// The measured window covers the replay only (not trace generation or the
-// settling flush).
-inline ReplayResult ReplayConcurrent(Machine& machine,
-                                     const ReplayTrace& trace) {
-  const uint64_t start_cycles = machine.GlobalTime();
-  // A single worker means a single driving thread (RunParallel runs the
-  // body inline, or on one spawned thread under a watchdog — either way
-  // nobody else touches simulated state), so the engine's internal locks
-  // protect nothing and can be elided.
-  std::optional<ExclusiveExecutionScope> exclusive;
-  if (trace.per_worker.size() <= 1) {
-    exclusive.emplace(machine);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  RunParallel(machine, static_cast<uint32_t>(trace.per_worker.size()),
-              [&](Core& core, uint32_t w) {
-                replay_internal::RunOps(core, trace.per_worker[w]);
-              });
-  const std::chrono::duration<double> dt =
-      std::chrono::steady_clock::now() - t0;
-  return replay_internal::Finish(machine, trace, start_cycles, dt.count());
-}
-
 struct ReplaySlicedOptions {
-  uint32_t host_threads = 1;
-  uint64_t quantum = 20000;  // simulated cycles per scheduler round
+  uint64_t quantum = BandwidthMeter::kWindow;  // cycles per scheduler round
 };
 
-// Sliced replay: worker i's ops on core i under the deterministic
-// time-sliced scheduler. The end state (and so the digest) depends on the
-// trace and the quantum but NOT on host_threads — see scheduler.h. With a
-// quantum larger than the whole run, round 0 runs each core to completion
-// in core order and the result is bit-identical to ReplaySequential.
+// Sliced replay: worker i's ops on core i, run by RunParallel with the
+// given quantum. With a quantum larger than the whole run, round 0 runs
+// each core to completion in core order and the result is bit-identical to
+// ReplaySequential.
 inline ReplayResult ReplaySliced(Machine& machine, const ReplayTrace& trace,
                                  const ReplaySlicedOptions& options = {}) {
   SchedulerConfig scfg;
-  scfg.host_threads = options.host_threads;
   scfg.quantum = options.quantum;
-  SimScheduler sched(machine, scfg);
-  for (uint32_t w = 0; w < trace.per_worker.size(); ++w) {
-    const std::vector<ReplayOp>& ops = trace.per_worker[w];
-    sched.Enqueue(w, [&ops, i = size_t{0}](Core& core,
-                                           uint64_t deadline) mutable {
-      // An op starts only while the core's clock is before the deadline;
-      // the one that crosses it finishes in this slice.
-      while (i < ops.size() && core.now() < deadline) {
-        replay_internal::RunOne(core, ops[i]);
-        ++i;
-      }
-      return i >= ops.size();
-    });
-  }
   const uint64_t start_cycles = machine.GlobalTime();
   const auto t0 = std::chrono::steady_clock::now();
-  sched.Run();
+  RunParallel(
+      machine, static_cast<uint32_t>(trace.per_worker.size()),
+      [&](Core& core, uint32_t w) {
+        replay_internal::RunOps(core, trace.per_worker[w]);
+      },
+      scfg);
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;
   return replay_internal::Finish(machine, trace, start_cycles, dt.count());
@@ -295,9 +251,6 @@ inline ReplayResult ReplaySliced(Machine& machine, const ReplayTrace& trace,
 // across engine versions.
 inline ReplayResult ReplaySequential(Machine& machine,
                                      const ReplayTrace& trace) {
-  // One calling thread drives everything, including the settling flush:
-  // run the whole replay in exclusive (lock-elided) mode.
-  ExclusiveExecutionScope exclusive(machine);
   const uint64_t start_cycles = machine.GlobalTime();
   const auto t0 = std::chrono::steady_clock::now();
   for (uint32_t w = 0; w < trace.per_worker.size(); ++w) {

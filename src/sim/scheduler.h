@@ -1,33 +1,29 @@
-// Deterministic time-sliced scheduler: runs N simulated cores on M host
-// threads in fixed-quantum rounds, decoupling simulated concurrency from
-// host hw_concurrency (DESIGN.md §12).
+// The simulator's one execution model (DESIGN.md §12): every simulated
+// core's work runs as a stackful fiber on the calling host thread, and the
+// fibers are resumed in a fixed (round, fiber) order.
 //
-// The free-running mode (harness.h RunParallel) binds one host thread per
-// simulated core, so an N-core run needs N host threads and falls off a
-// cliff once N exceeds the host's cores. The sliced mode instead advances
-// cores in ROUNDS: round r gives every core with pending work one slice,
-// running it until its simulated clock reaches the round deadline
-// `start + (r+1) * quantum`. Cores therefore stay loosely synchronized in
-// simulated time (within one quantum) no matter how many host threads
-// drive them — an 8-core simulation runs fine on a 1-CPU host.
+// Round r has the deadline `start + (r + 1) * quantum`. A fiber homed on a
+// core is resumed only while that core's clock is below the deadline (an
+// op starts only before the deadline); a fiber with no home core (a cluster
+// load driver) is resumed every round. A resumed fiber runs until it
+// yields, which it does in three places:
+//  - at the end of a Core op that leaves the core's clock at or past the
+//    deadline (Core::MaybeEndSlice);
+//  - in SpinPause when the core is already at the fastest published clock;
+//  - at a host-side wait for another core's progress (Core::EndSlice).
+// One host thread executes everything, so the engine holds no locks, and
+// the end state of a run is a pure function of the workload and the
+// quantum: every run of every workload is bit-reproducible.
 //
-// Determinism contract: slices execute in a single global order —
-// (round, core index), cores ascending — and slice k is executed by host
-// thread k % M with a mutex handoff between consecutive slices. Host
-// threads take turns; they never run simulated work concurrently. M
-// therefore affects which OS thread's stack a slice runs on and nothing
-// else, so the end-state digest of a sliced run is bit-identical for every
-// M (tests/sim_determinism_test.cc proves it for M ∈ {1,2,4}). This is an
-// honest trade: sliced mode buys determinism and oversubscription-immunity
-// at the price of no host-side parallel speedup. Because exactly one host
-// thread touches the machine at a time, Run() enters exclusive execution
-// (machine.h), eliding every engine mutex for the duration.
+// Deadlock check: a round in which every live fiber was resumed, no core
+// clock (current or published) moved and no fiber finished would repeat
+// forever, so the run aborts with each core's clock.
 #ifndef SRC_SIM_SCHEDULER_H_
 #define SRC_SIM_SCHEDULER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "src/sim/machine.h"
@@ -35,51 +31,55 @@
 namespace prestore {
 
 struct SchedulerConfig {
-  // Host threads taking turns executing slices. More than one adds no
-  // speed (see the determinism contract above); it exists so tests and CI
-  // can prove host-thread-count independence.
-  uint32_t host_threads = 1;
-  // Simulated cycles per round. Smaller quanta keep cores more tightly
-  // synchronized in simulated time; larger quanta amortize scheduling.
-  uint64_t quantum = 20000;
+  // Simulated cycles per round. The default is the device meters'
+  // skew-tolerance window (BandwidthMeter::kWindow): no slice lets two
+  // cores drift further apart than the meters are built to absorb.
+  uint64_t quantum = BandwidthMeter::kWindow;
 
-  // Throws std::invalid_argument on a meaningless config (quantum == 0
-  // would spin forever; host_threads == 0 has nobody to run slices).
+  // Throws std::invalid_argument on quantum == 0 (no round could end).
   void Validate() const;
 };
 
 class SimScheduler {
  public:
-  // A unit of schedulable work bound to one core. Called with the round
-  // deadline; must either advance the core's simulated clock or return
-  // true (done). Returning false with the clock short of the deadline is
-  // allowed (the slice loop re-invokes it); returning false without
-  // advancing the clock is not (the round could never end).
-  using SliceFn = std::function<bool(Core& core, uint64_t deadline)>;
+  explicit SimScheduler(const SchedulerConfig& config = {});
+  ~SimScheduler();
 
-  SimScheduler(Machine& machine, const SchedulerConfig& config);
+  SimScheduler(const SimScheduler&) = delete;
+  SimScheduler& operator=(const SimScheduler&) = delete;
 
-  // Queues a task on core `core`. A core's tasks run in FIFO order; a task
-  // that finishes mid-slice yields the rest of the slice to the next task
-  // in the same queue.
-  void Enqueue(uint32_t core, SliceFn task);
+  // Registers every core of `machine`: their clocks carry the round
+  // deadline and are reported by the deadlock check. Register each machine
+  // a fiber touches before Run().
+  void AddMachine(Machine& machine);
 
-  // Runs rounds until every queue is empty. Returns the simulated cycles
-  // elapsed (global time delta). Single-driver by construction, so the
-  // whole run executes in exclusive (lock-elided) mode.
-  uint64_t Run();
+  // Adds a fiber running `body`. `home` is the core whose clock gates the
+  // fiber's resumption; nullptr resumes it every round.
+  void Spawn(Core* home, std::function<void()> body);
+
+  // Runs every fiber to completion in rounds anchored at `start`. An
+  // exception thrown by a body ends that fiber only; once the others have
+  // finished, the first one (in resume order) is rethrown here.
+  void Run(uint64_t start);
+
+  // Ends the calling fiber's slice. A no-op outside a running fiber.
+  static void YieldCurrent();
 
  private:
-  bool AnyPending() const;
-  // One slice: run core `core_idx`'s queue until its clock reaches
-  // `deadline` or the queue empties.
-  void RunSlice(uint32_t core_idx, uint64_t deadline);
-  // The M>1 path: host threads hand slices around under a mutex.
-  void RunHandoff(uint64_t start);
+  struct Fiber;
 
-  Machine& machine_;
+  void Resume(Fiber& fiber);
+  void Yield();
+  static void FiberEntry();
+  uint64_t ClockSum() const;
+  [[noreturn]] void AbortDeadlock(uint64_t round) const;
+
   SchedulerConfig config_;
-  std::vector<std::deque<SliceFn>> queues_;  // one run queue per core
+  std::vector<Machine*> machines_;
+  std::vector<std::unique_ptr<Fiber>> fibers_;
+  Fiber* current_ = nullptr;
+  struct MainContext;
+  std::unique_ptr<MainContext> main_;
 };
 
 }  // namespace prestore

@@ -9,7 +9,6 @@
 #define SRC_TRACE_TRACE_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,8 +37,8 @@ struct TraceRecord {
 inline constexpr uint32_t kInvalidFunc = 0xffffffff;
 inline constexpr uint32_t kInvalidChain = 0xffffffff;
 
-// Receives records from simulated cores. Implementations must tolerate
-// concurrent calls from different core ids (cores never share an id).
+// Receives records from simulated cores (one host thread drives every core,
+// so calls never overlap).
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -47,7 +46,7 @@ class TraceSink {
 };
 
 // Interns function names ("symbols") and callchains. Shared by all cores of a
-// machine; thread-safe.
+// machine.
 class FunctionRegistry {
  public:
   struct FunctionInfo {
@@ -56,7 +55,6 @@ class FunctionRegistry {
   };
 
   uint32_t Intern(const std::string& name, const std::string& location) {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = by_name_.find(name);
     if (it != by_name_.end()) {
       return it->second;
@@ -69,7 +67,6 @@ class FunctionRegistry {
 
   // Interns a callchain (outermost → innermost function ids).
   uint32_t InternChain(const std::vector<uint32_t>& chain) {
-    std::lock_guard<std::mutex> lock(mu_);
     std::string key;
     key.reserve(chain.size() * 4);
     for (uint32_t f : chain) {
@@ -86,22 +83,18 @@ class FunctionRegistry {
   }
 
   const FunctionInfo& Function(uint32_t id) const {
-    std::lock_guard<std::mutex> lock(mu_);
     return functions_[id];
   }
 
   std::vector<uint32_t> Chain(uint32_t id) const {
-    std::lock_guard<std::mutex> lock(mu_);
     return chains_[id];
   }
 
   size_t NumFunctions() const {
-    std::lock_guard<std::mutex> lock(mu_);
     return functions_.size();
   }
 
  private:
-  mutable std::mutex mu_;
   std::vector<FunctionInfo> functions_;
   std::unordered_map<std::string, uint32_t> by_name_;
   std::vector<std::vector<uint32_t>> chains_;

@@ -6,6 +6,7 @@
 
 #include "src/sim/config.h"
 #include "src/sim/device.h"
+#include "src/sim/machine.h"
 
 namespace prestore {
 namespace {
@@ -200,6 +201,48 @@ TEST(DeviceConfigValidate, DeviceConstructionRejectsOversizedBuffer) {
   EXPECT_THROW(MakeDevice(m.target), std::invalid_argument);
   m.target.reference_impl = true;
   EXPECT_THROW(MakeDevice(m.target), std::invalid_argument);
+}
+
+// ---- MachineConfig::Validate: the coherence directory's domain ----
+// CacheLineMeta::sharers is a 64-bit mask and owner uses 0xff for "no
+// owner", so core ids must stay below kMaxCores. Runs in every build type,
+// in the Machine constructor.
+TEST(MachineConfigValidate, AcceptsEveryPreset) {
+  for (uint32_t cores : {1u, 10u, kMaxCores}) {
+    for (const MachineConfig& m : {MachineA(cores), MachineBFast(cores),
+                                   MachineBSlow(cores),
+                                   MachineACxlSsd(cores)}) {
+      EXPECT_NO_THROW(m.Validate()) << m.name << " x" << cores;
+    }
+  }
+}
+
+TEST(MachineConfigValidate, RejectsZeroCores) {
+  EXPECT_THROW(MachineA(0).Validate(), std::invalid_argument);
+  EXPECT_THROW(Machine m(MachineA(0)), std::invalid_argument);
+}
+
+TEST(MachineConfigValidate, RejectsCoresPastSharerMask) {
+  try {
+    MachineA(kMaxCores + 1).Validate();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("num_cores"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(Machine m(MachineA(70)), std::invalid_argument);
+}
+
+TEST(MachineConfigValidate, RejectsL1LineSizeMismatch) {
+  MachineConfig m = MachineA(2);
+  m.l1.line_size = 128;
+  EXPECT_THROW(m.Validate(), std::invalid_argument);
+}
+
+TEST(MachineConfigValidate, RejectsLlcLineSizeMismatch) {
+  MachineConfig m = MachineBFast(2);
+  m.llc.line_size = 64;
+  EXPECT_THROW(m.Validate(), std::invalid_argument);
 }
 
 }  // namespace

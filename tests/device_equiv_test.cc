@@ -51,7 +51,6 @@ uint64_t RunDigest(ReplacementPolicy policy, bool reference, Mode mode,
   const ReplayTrace trace = GenerateReplayTrace(machine, MissyTrace(workers));
   if (mode == Mode::kSliced) {
     ReplaySlicedOptions options;
-    options.host_threads = 1;
     options.quantum = 20000;
     ReplaySliced(machine, trace, options);
   } else {

@@ -1,12 +1,9 @@
-// RunParallel robustness: worker exceptions propagate to the caller (instead
-// of std::terminate), and the wall-clock watchdog aborts wedged runs with
-// per-core diagnostics.
+// RunParallel robustness: body exceptions propagate to the caller (instead
+// of std::terminate), and a run in which no core can make progress aborts
+// with per-core diagnostics instead of hanging.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <stdexcept>
-#include <thread>
 
 #include "src/sim/harness.h"
 #include "src/sim/machine.h"
@@ -29,22 +26,23 @@ TEST(RunParallelExceptions, WorkerExceptionPropagates) {
 
 TEST(RunParallelExceptions, FirstExceptionWinsAndAllWorkersJoin) {
   Machine machine(MachineA(4));
-  std::atomic<int> completed{0};
+  int completed = 0;
   try {
     RunParallel(machine, 4, [&](Core& core, uint32_t tid) {
       core.Execute(10);
       if (tid == 0) {
         throw std::logic_error("first");
       }
-      // The other workers keep running and must be joined, not abandoned.
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      // The other bodies keep running to completion, across several
+      // scheduler rounds.
+      core.Execute(20000);
       ++completed;
     });
     FAIL() << "expected an exception";
   } catch (const std::logic_error& e) {
     EXPECT_STREQ(e.what(), "first");
   }
-  EXPECT_EQ(completed.load(), 3);
+  EXPECT_EQ(completed, 3);
 }
 
 TEST(RunParallelExceptions, SingleThreadInlinePathPropagates) {
@@ -56,31 +54,30 @@ TEST(RunParallelExceptions, SingleThreadInlinePathPropagates) {
                std::runtime_error);
 }
 
-TEST(RunParallelWatchdog, CompletedRunIsUnaffected) {
+TEST(RunParallelChecks, RejectsMoreBodiesThanCores) {
   Machine machine(MachineA(2));
-  RunParallelOptions options;
-  options.watchdog_ms = 10000;
-  const uint64_t cycles = RunParallel(
-      machine, 2, [](Core& core, uint32_t) { core.Execute(1000); }, options);
-  EXPECT_GE(cycles, 1000u);
+  EXPECT_THROW(RunParallel(machine, 3, [](Core&, uint32_t) {}),
+               std::invalid_argument);
 }
 
-TEST(RunParallelWatchdogDeathTest, AbortsWedgedRunWithDiagnostics) {
+// Each body waits host-side for a flag only the other one would set after
+// its own wait: once both have run, no clock can ever move again.
+void RunMutualWait(Machine& machine) {
+  bool ready[2] = {false, false};
+  RunParallel(machine, 2, [&](Core& core, uint32_t tid) {
+    core.Execute(100);
+    while (!ready[1 - tid]) {
+      core.EndSlice();
+    }
+    ready[tid] = true;
+  });
+}
+
+TEST(RunParallelDeathTest, AbortsDeadlockWithCoreClocks) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Machine machine(MachineA(2));
-  RunParallelOptions options;
-  options.watchdog_ms = 200;
-  EXPECT_DEATH(
-      RunParallel(
-          machine, 2,
-          [](Core& core, uint32_t tid) {
-            core.Execute(100);
-            if (tid == 1) {  // core 1 wedges (host-time stall)
-              std::this_thread::sleep_for(std::chrono::seconds(60));
-            }
-          },
-          options),
-      "RunParallel watchdog.*STILL RUNNING");
+  EXPECT_DEATH(RunMutualWait(machine),
+               "deadlock.*core 0: now=100.*core 1: now=100");
 }
 
 }  // namespace

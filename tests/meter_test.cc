@@ -5,7 +5,6 @@
 
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/sim/device.h"
@@ -71,28 +70,27 @@ TEST(Meter, BacklogObservation) {
   EXPECT_EQ(meter.BacklogAt(100000), 0u);
 }
 
-TEST(Meter, ConcurrentReservationsConserveWork) {
-  // Work conservation under threads: total delay across requesters must be
-  // at least (total work - elapsed capacity), never wildly more.
+TEST(Meter, InterleavedReservationsConserveWork) {
+  // Work conservation across requesters with skewed clocks: four
+  // requesters, interleaved round-robin, each demanding 5 cycles of work
+  // per cycle. Total delay across requesters must be at least (total work -
+  // elapsed capacity), never wildly more.
   BandwidthMeter meter;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 1000;
+  constexpr int kRequesters = 4;
+  constexpr int kPerRequester = 1000;
   constexpr uint64_t kCost = 50;
-  std::vector<uint64_t> delays(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      uint64_t now = 50000 + t * 100;
-      for (int i = 0; i < kPerThread; ++i) {
-        delays[t] += meter.Reserve(kCost, now);
-        now += 10;  // each thread demands 5 cycles of work per cycle
-      }
-    });
+  std::vector<uint64_t> delays(kRequesters, 0);
+  std::vector<uint64_t> now(kRequesters);
+  for (int r = 0; r < kRequesters; ++r) {
+    now[r] = 50000 + r * 100;
   }
-  for (auto& th : threads) {
-    th.join();
+  for (int i = 0; i < kPerRequester; ++i) {
+    for (int r = 0; r < kRequesters; ++r) {
+      delays[r] += meter.Reserve(kCost, now[r]);
+      now[r] += 10;
+    }
   }
-  // Total work = 4 * 1000 * 50 = 200000 over ~10000 cycles of wall time:
+  // Total work = 4 * 1000 * 50 = 200000 over ~10000 cycles of time:
   // ~190000 cycles of queueing must have been charged somewhere.
   uint64_t total = 0;
   for (uint64_t d : delays) {

@@ -1,7 +1,7 @@
 // Online adaptive region monitor (DESIGN.md §13): scheme-rule grammar,
 // split/merge behavior, verdicts on synthetic patterns, and the
 // determinism contract — byte-identical region trees and scheme-action
-// logs across repeated runs and across host thread counts.
+// logs across repeated runs.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -273,7 +273,7 @@ struct MonitoredReplay {
   std::string actions;
 };
 
-MonitoredReplay RunMonitoredSliced(uint32_t host_threads) {
+MonitoredReplay RunMonitoredSliced() {
   Machine machine(MachineA(4));
   ReplayTraceConfig tcfg;
   tcfg.workers = 4;
@@ -288,9 +288,7 @@ MonitoredReplay RunMonitoredSliced(uint32_t host_threads) {
   monitor.Monitor(kTargetBase, kTargetBase + machine.target_allocated());
   monitor.Attach();
 
-  ReplaySlicedOptions options;
-  options.host_threads = host_threads;
-  ReplaySliced(machine, trace, options);
+  ReplaySliced(machine, trace);
 
   MonitoredReplay out;
   out.machine_digest = DigestMachine(machine, tcfg.workers);
@@ -302,23 +300,13 @@ MonitoredReplay RunMonitoredSliced(uint32_t host_threads) {
   return out;
 }
 
-TEST(MonitorDeterminism, ByteIdenticalAcrossRunsAndHostThreads) {
-  const MonitoredReplay a = RunMonitoredSliced(1);
-  const MonitoredReplay b = RunMonitoredSliced(1);  // same run repeated
-  const MonitoredReplay c = RunMonitoredSliced(2);  // different host threads
-  const MonitoredReplay d = RunMonitoredSliced(4);
+TEST(MonitorDeterminism, ByteIdenticalAcrossRuns) {
+  const MonitoredReplay a = RunMonitoredSliced();
+  const MonitoredReplay b = RunMonitoredSliced();  // same run repeated
 
   EXPECT_EQ(a.machine_digest, b.machine_digest);
   EXPECT_EQ(a.monitor_digest, b.monitor_digest);
   EXPECT_EQ(a.actions, b.actions);
-
-  EXPECT_EQ(a.machine_digest, c.machine_digest);
-  EXPECT_EQ(a.monitor_digest, c.monitor_digest);
-  EXPECT_EQ(a.actions, c.actions);
-
-  EXPECT_EQ(a.machine_digest, d.machine_digest);
-  EXPECT_EQ(a.monitor_digest, d.monitor_digest);
-  EXPECT_EQ(a.actions, d.actions);
 
   EXPECT_FALSE(a.actions.empty());  // the run actually exercised the log
 }

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "src/msg/x9.h"
@@ -192,7 +191,7 @@ TEST(X9, DemoteCutsSendLatency) {
       if (tid == 0) {
         for (uint64_t i = 0; i < kMessages; ++i) {
           // Count only the successful send call: full-inbox spinning depends
-          // on host scheduling, not on the pre-store under study.
+          // on the consumer's pace, not on the pre-store under study.
           while (true) {
             const uint64_t t0 = core.now();
             if (inbox.TryWriteStamped(core, i, mode)) {

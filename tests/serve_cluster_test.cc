@@ -4,10 +4,10 @@
 // handoff, and byte-identical replay of the request outcome log and the
 // injector event log under the same seed + fault plan.
 //
-// Every cluster run here uses max_inflight = 1 — the fully deterministic
-// regime (see the cluster_loadgen.cc header): each logical client has at
+// Every cluster run here uses max_inflight = 1: each logical client has at
 // most one request outstanding, so its health view and failover decisions
-// are a pure function of its own schedule.
+// follow its own schedule (the runs are deterministic at any depth — see
+// the cluster_loadgen.cc header).
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -28,7 +28,7 @@ ServeConfig SmallCluster(uint32_t nodes, uint32_t replication) {
   cfg.ycsb.workload = YcsbWorkload::kA;
   cfg.ycsb.num_keys = 512;
   cfg.ycsb.value_size = 256;
-  cfg.ycsb.threads = 2;  // driver host threads
+  cfg.ycsb.threads = 2;  // drivers
   cfg.ycsb.ops_per_thread = 60;
   cfg.ycsb.arena_slots = 64;
   cfg.num_shards = 2;

@@ -59,6 +59,17 @@ TEST(ServeConfig, ValidateRejectsBadShapes) {
   EXPECT_NE(cfg.Validate().find("zipf_theta"), std::string::npos);
 }
 
+TEST(ServeConfig, RejectsShapesPastTheMachineCoreLimit) {
+  // The coherence directory tracks at most kMaxCores cores per machine; a
+  // 65-core serve shape must be refused before any machine is built.
+  ServeConfig cfg = SmallConfig();
+  cfg.num_shards = 33;
+  cfg.ycsb.threads = 32;
+  EXPECT_NE(cfg.Validate().find("core"), std::string::npos);
+  cfg.num_shards = 32;  // exactly kMaxCores: fine
+  EXPECT_EQ(cfg.Validate(), "");
+}
+
 TEST(ServeConfig, ValidateRejectsBadClusterShapes) {
   // A valid cluster baseline; every case below breaks exactly one knob.
   auto cluster = [] {
@@ -113,7 +124,7 @@ TEST(ServeConfig, ValidateRejectsBadClusterShapes) {
 
   cfg = cluster();
   cfg.num_shards = 32;
-  cfg.cluster_nodes = 8;  // 32 * 8 + drivers > 255 core ids
+  cfg.cluster_nodes = 8;  // 32 * 8 + drivers > kMaxCores
   cfg.replication_factor = 2;
   EXPECT_NE(cfg.Validate().find("core budget"), std::string::npos);
 

@@ -2,8 +2,6 @@
 // directory-on-device cost structure of Machine B (§4.2).
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "src/sim/harness.h"
 #include "src/sim/machine.h"
 
@@ -52,62 +50,6 @@ TEST(Coherence, WriteInvalidatesOtherCopies) {
   EXPECT_GT(b.now() - t, static_cast<uint64_t>(m.config().l1.hit_latency));
 }
 
-// Deterministic driver for the miss-path re-probe window: core 0's LLC miss
-// releases the shard lock for the speculative device read; this hook runs at
-// the tail of that read (no simulator locks held) and publishes the same
-// line from core 1, so core 0's re-probe finds the line freshly Modified in
-// core 1's L1.
-class FillLineDuringRead : public DeviceFaultHook {
- public:
-  FillLineDuringRead(Machine* m, uint64_t line) : machine_(m), line_(line) {}
-
-  uint64_t ExtraLatency(bool is_write, uint64_t) override {
-    if (!is_write && armed_) {
-      armed_ = false;  // the publish below re-enters Read
-      machine_->PublishLine(1, line_, 0);
-      fired_ = true;
-    }
-    return 0;
-  }
-  double BandwidthCostMultiplier(uint64_t) override { return 1.0; }
-  uint32_t StolenBufferBlocks(uint64_t) override { return 0; }
-  uint64_t ExtraDirectoryLatency(uint64_t) override { return 0; }
-
-  bool fired() const { return fired_; }
-
- private:
-  Machine* machine_;
-  uint64_t line_;
-  bool armed_ = true;
-  bool fired_ = false;
-};
-
-TEST(Coherence, MissReprobeHitRunsFullHitProtocol) {
-  Machine m(MachineA(2));
-  const SimAddr addr = m.Alloc(128);
-  const uint64_t line = m.LineBaseOf(addr);
-  FillLineDuringRead hook(&m, line);
-  m.SetDeviceFaultHook(&hook);
-
-  // Core 0 writes the line. The first LLC probe misses; during the
-  // speculative device read the hook gives core 1 a Modified copy, so the
-  // re-probe hits a line with a foreign owner and must run the same hit
-  // protocol as a first-probe hit (intervene, snoop, take ownership) — not
-  // just overwrite the directory entry.
-  m.LlcAccess(0, line, Machine::AccessMode::kWrite, 0);
-  m.SetDeviceFaultHook(nullptr);
-  ASSERT_TRUE(hook.fired());
-
-  const MachineStats h = m.hierarchy_stats();
-  // Core 1's publish was the only miss; core 0's access resolved as a hit
-  // and intervened on core 1's Modified copy.
-  EXPECT_EQ(h.llc_misses, 1u);
-  EXPECT_EQ(h.llc_hits, 1u);
-  EXPECT_EQ(h.interventions, 1u);
-  // The write snooped core 1's L1 copy out.
-  EXPECT_EQ(m.core(1).l1().Probe(line), nullptr);
-}
-
 TEST(Coherence, FarMemoryPublicationPaysDirectory) {
   // On Machine B, publishing a private store to FPGA-backed memory pays a
   // directory round trip + line read; DRAM-backed lines must be cheaper.
@@ -144,8 +86,8 @@ TEST(Coherence, DirectoryAccessCountedOnFarMemoryWrites) {
 }
 
 TEST(Coherence, ConcurrentCountersAreExact) {
-  // Functional correctness under real-thread concurrency: FetchAdd on a
-  // shared counter must never lose updates.
+  // Functional correctness across interleaved cores: FetchAdd on a shared
+  // counter must never lose updates.
   Machine m(MachineA(4));
   const SimAddr counter = m.Alloc(64);
   m.core(0).StoreU64(counter, 0);

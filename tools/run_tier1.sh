@@ -2,9 +2,9 @@
 # Tier-1 gate: configure, build, and run the full test suite twice --
 #   1. a plain release-ish build (what CI and the benches use), and
 #   2. a hardened build: ASan+UBSan with the simulator's internal invariant
-#      checkers compiled in (PRESTORE_CHECK_INVARIANTS) and the RunParallel
-#      watchdog armed so a wedged worker aborts with diagnostics instead of
-#      hanging the suite.
+#      checkers compiled in (PRESTORE_CHECK_INVARIANTS).
+# A wedged run cannot hang either pass: the scheduler aborts with per-core
+# clocks on a round in which no core can make progress.
 #
 # Usage: tools/run_tier1.sh [--fast]
 #   --fast  skip the sanitizer pass (plain build only)
@@ -16,10 +16,6 @@ FAST=0
 if [[ "${1:-}" == "--fast" ]]; then
   FAST=1
 fi
-
-# A wedged worker thread should fail loudly, not hang CI. 120s is far above
-# the slowest tier-1 test's per-RunParallel time.
-export PRESTORE_WATCHDOG_MS="${PRESTORE_WATCHDOG_MS:-120000}"
 
 # CI caches compilations across runs; locally this is a no-op unless ccache
 # is installed.
@@ -40,7 +36,31 @@ run_pass() {
   ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 }
 
+# Determinism gate: every simulated run is a pure function of its inputs
+# (one fiber scheduler, DESIGN.md §12), so two runs of a bench must print
+# byte-identical output. Covers the thread- and lock-sensitive figures
+# (Fig 3's thread sweep, Fig 13's CAS publication), X9 messaging and the
+# open-loop serving path.
+determinism_gate() {
+  local build_dir="$1"
+  local bench first second
+  local -a cmd
+  for bench in "bench_fig13_clht_machineB" "bench_fig3_listing1 --iters=1000" \
+      "bench_x9_latency" "bench_serve_ycsb"; do
+    echo "==> determinism gate: ${bench} (${build_dir})"
+    read -r -a cmd <<< "${bench}"
+    first=$("./${build_dir}/bench/${cmd[0]}" "${cmd[@]:1}")
+    second=$("./${build_dir}/bench/${cmd[0]}" "${cmd[@]:1}")
+    if [[ "${first}" != "${second}" ]]; then
+      echo "${bench}: output differs between two runs" >&2
+      diff <(echo "${first}") <(echo "${second}") >&2 || true
+      exit 1
+    fi
+  done
+}
+
 run_pass build
+determinism_gate build
 
 # Serve end-to-end gate: the ctest pass above already runs serve_test,
 # serve_fault_test, and ycsb_config_test (registered in tests/CMakeLists.txt);
@@ -56,12 +76,11 @@ echo "==> serve smoke (kv_server_cli --smoke)"
 echo "==> cluster failover smoke (bench_serve_cluster --smoke)"
 ./build/bench/bench_serve_cluster --smoke --out=build/BENCH_serve_cluster_smoke.json >/dev/null
 
-# Engine-throughput smoke in BOTH scheduler modes. The bench exits non-zero
-# if either self-check fails: the sequential determinism digest, or the
-# sliced digest diverging between 1 and 3 host threads (scheduler
-# determinism contract, DESIGN.md §12).
-echo "==> sim-throughput smoke (bench_sim_throughput --quick --mode=both)"
-./build/bench/bench_sim_throughput --quick --mode=both \
+# Engine-throughput smoke. The bench exits non-zero if either self-check
+# fails: two sequential replays, or two sliced replays, of the digest trace
+# printing different digests (determinism contract, DESIGN.md §12).
+echo "==> sim-throughput smoke (bench_sim_throughput --quick)"
+./build/bench/bench_sim_throughput --quick \
   --out=build/BENCH_sim_throughput_smoke.json >/dev/null
 
 # Cache-layout smoke: the SetBlock cache against the preserved reference
@@ -72,26 +91,24 @@ echo "==> cache-layout smoke (bench_cache_lookup --quick)"
 ./build/bench/bench_cache_lookup --quick \
   --out=build/BENCH_cache_lookup_smoke.json >/dev/null
 gd=$(./build/tools/sim_throughput_cli --workers=4 --ops=20000 --keys=2048 \
-  --shared-keys=512 --shared-fraction=0.25 --theta=0 --seed=42 --digest \
-  | grep '^digest=')
+  --shared-keys=512 --shared-fraction=0.25 --theta=0 --seed=42 --sequential \
+  --digest | grep '^digest=')
 if [[ "${gd}" != "digest=ca074689a0e38784" ]]; then
   echo "golden determinism digest changed: ${gd}" >&2
   exit 1
 fi
 
-# Sliced-scheduler CLI smoke: same trace on 2 vs 3 host threads must print
-# the same machine digest, and quantum=0 must be rejected.
-echo "==> sliced scheduler smoke (sim_throughput_cli --scheduler=sliced)"
-d2=$(./build/tools/sim_throughput_cli --workers=8 --ops=20000 \
-  --scheduler=sliced --host-threads=2 --digest | grep '^digest=')
-d3=$(./build/tools/sim_throughput_cli --workers=8 --ops=20000 \
-  --scheduler=sliced --host-threads=3 --digest | grep '^digest=')
-if [[ "${d2}" != "${d3}" ]]; then
-  echo "sliced digest host-thread variance: ${d2} vs ${d3}" >&2
+# Sliced-scheduler CLI smoke: the 8-core fiber-scheduled replay at quantum
+# 20000 must print the recorded digest, and quantum=0 must be rejected.
+echo "==> sliced scheduler smoke (sim_throughput_cli --quantum=20000)"
+sd=$(./build/tools/sim_throughput_cli --workers=8 --ops=20000 --keys=2048 \
+  --shared-keys=512 --shared-fraction=0.25 --theta=0 --seed=42 \
+  --quantum=20000 --digest | grep '^digest=')
+if [[ "${sd}" != "digest=7377a872a3f90b85" ]]; then
+  echo "recorded sliced digest changed: ${sd}" >&2
   exit 1
 fi
-if ./build/tools/sim_throughput_cli --scheduler=sliced --quantum=0 \
-    >/dev/null 2>&1; then
+if ./build/tools/sim_throughput_cli --quantum=0 >/dev/null 2>&1; then
   echo "sim_throughput_cli accepted --quantum=0" >&2
   exit 1
 fi
@@ -123,7 +140,7 @@ echo "==> PMEM buffer ablation smoke (bench_ablation_pmem_buffer --iters=300)"
 
 # Monitored-governor smoke: misuse recovery on an unprofiled workload,
 # sub-percent monitoring overhead, and the monitor-attached determinism
-# digest across host thread counts. The bench exits non-zero on any gate.
+# digest across two runs. The bench exits non-zero on any gate.
 echo "==> monitor smoke (bench_monitor --quick)"
 ./build/bench/bench_monitor --quick --out=build/BENCH_monitor_smoke.json \
   >/dev/null
@@ -148,22 +165,22 @@ if [[ "${FAST}" == "0" ]]; then
   run_pass build-sanitize \
     -DPRESTORE_SANITIZE=address,undefined \
     -DPRESTORE_CHECK_INVARIANTS=ON
+  determinism_gate build-sanitize
   echo "==> cluster failover smoke (sanitized build)"
   ./build-sanitize/bench/bench_serve_cluster --smoke \
     --out=build-sanitize/BENCH_serve_cluster_smoke.json >/dev/null
-  # Both scheduler modes under ASan+UBSan with invariant checkers on: the
-  # sliced scheduler's mutex-handoff and the free-running replay run the
-  # same quick sweep the plain pass ran.
-  echo "==> sim-throughput smoke (sanitized build, --mode=both)"
-  ./build-sanitize/bench/bench_sim_throughput --quick --mode=both \
+  # The fiber scheduler's stack switches under ASan+UBSan with invariant
+  # checkers on: the same quick sweep the plain pass ran.
+  echo "==> sim-throughput smoke (sanitized build)"
+  ./build-sanitize/bench/bench_sim_throughput --quick \
     --out=build-sanitize/BENCH_sim_throughput_smoke.json >/dev/null
   # The SetBlock placement-new lifetimes and packed-age pointer arithmetic
   # under ASan+UBSan, via the same randomized reference self-check.
   echo "==> cache-layout smoke (sanitized build)"
   ./build-sanitize/bench/bench_cache_lookup --quick \
     --out=build-sanitize/BENCH_cache_lookup_smoke.json >/dev/null
-  # Monitor gates under ASan+UBSan: the sampling hot path, split/merge
-  # bookkeeping, and the advisor locking run the same quick sweep.
+  # Monitor gates under ASan+UBSan: the sampling hot path and split/merge
+  # bookkeeping run the same quick sweep.
   echo "==> monitor smoke (sanitized build)"
   ./build-sanitize/bench/bench_monitor --quick \
     --out=build-sanitize/BENCH_monitor_smoke.json >/dev/null

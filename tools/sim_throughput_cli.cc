@@ -2,13 +2,13 @@
 // itself (e.g. under `perf record`) without the bench's fixed 1/2/4/8 sweep.
 //
 //   sim_throughput_cli --workers=8 --ops=1000000 --theta=0.99
-//   sim_throughput_cli --workers=8 --scheduler=sliced --host-threads=2
+//   sim_throughput_cli --workers=8 --quantum=20000 --digest
 //   sim_throughput_cli --workers=1 --sequential --digest
 //
 // Prints one human-readable line; --json=PATH additionally writes the run
-// as a JSON object. --digest runs the replay deterministically (sequential,
-// or sliced when --scheduler=sliced) and prints the machine end-state
-// digest (the determinism-guard value).
+// as a JSON object. The replay runs on the fiber scheduler (sliced) unless
+// --sequential is given; either way it is deterministic, and --digest
+// prints the machine end-state digest (the determinism-guard value).
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -50,22 +50,13 @@ void PrintUsage() {
       "                       meters — slow, for A/B digest comparison\n"
       "                       against the production devices\n"
       "\n"
-      "Execution mode:\n"
-      "  --scheduler=free|sliced\n"
-      "                       free: one free-running host thread per worker\n"
-      "                       (the default); sliced: the deterministic\n"
-      "                       time-sliced scheduler — fixed-quantum rounds,\n"
-      "                       bit-identical results for ANY --host-threads\n"
-      "  --quantum=N          sliced only: simulated cycles per round slice\n"
-      "                       (default 20000; must be > 0 — rejected by\n"
-      "                       SchedulerConfig::Validate)\n"
-      "  --host-threads=N     sliced only: host threads carrying the slices\n"
-      "                       (default 1; changes wall time, never results)\n"
+      "Execution mode (default: sliced — each worker a fiber on the\n"
+      "deterministic scheduler, fixed-quantum rounds):\n"
+      "  --quantum=N          simulated cycles per scheduler round (default\n"
+      "                       1500, the device meters' skew window; must be\n"
+      "                       > 0 — rejected by SchedulerConfig::Validate)\n"
       "  --sequential         run each worker to completion in worker order\n"
-      "                       on the calling thread\n"
-      "  --digest             print the machine end-state digest (implies a\n"
-      "                       deterministic mode: sequential unless\n"
-      "                       --scheduler=sliced)\n"
+      "  --digest             print the machine end-state digest\n"
       "\n"
       "Output:\n"
       "  --json=PATH          also write the run as a JSON object\n"
@@ -83,8 +74,8 @@ int main(int argc, char** argv) {
   const auto unknown = flags.UnknownFlags(
       {"workers", "ops", "keys", "shared-keys", "shared-fraction",
        "value-size", "read-ratio", "theta", "clean-period", "miss-mix",
-       "seed", "machine", "device-path", "scheduler", "quantum",
-       "host-threads", "sequential", "digest", "json"});
+       "seed", "machine", "device-path", "quantum", "sequential", "digest",
+       "json"});
   if (!unknown.empty()) {
     for (const std::string& flag : unknown) {
       std::fprintf(stderr, "unknown flag --%s\n", flag.c_str());
@@ -112,23 +103,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string scheduler = flags.GetString("scheduler", "free");
-  if (scheduler != "free" && scheduler != "sliced") {
-    std::fprintf(stderr, "--scheduler must be free or sliced (got %s)\n",
-                 scheduler.c_str());
-    return 1;
-  }
-  const bool sliced = scheduler == "sliced";
+  const bool sequential = flags.GetBool("sequential", false);
   ReplaySlicedOptions sliced_options;
-  sliced_options.host_threads =
-      static_cast<uint32_t>(flags.GetInt("host-threads", 1));
-  sliced_options.quantum = flags.GetInt("quantum", 20000);
-  if (sliced) {
-    // Fail fast on an invalid scheduler configuration (quantum=0,
-    // host_threads=0) with the validator's own message, before the trace
-    // is generated.
+  sliced_options.quantum = flags.GetInt("quantum", BandwidthMeter::kWindow);
+  if (!sequential) {
+    // Fail fast on an invalid scheduler configuration (quantum=0) with the
+    // validator's own message, before the trace is generated.
     SchedulerConfig check;
-    check.host_threads = sliced_options.host_threads;
     check.quantum = sliced_options.quantum;
     try {
       check.Validate();
@@ -137,9 +118,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const bool sequential =
-      flags.GetBool("sequential", false) ||
-      (flags.GetBool("digest", false) && !sliced);
 
   const std::string preset = flags.GetString("machine", "A");
   MachineConfig mc = preset == "B"    ? MachineBFast(cfg.workers)
@@ -154,13 +132,10 @@ int main(int argc, char** argv) {
   }
   Machine machine(mc);
   const ReplayTrace trace = GenerateReplayTrace(machine, cfg);
-  const ReplayResult result =
-      sliced      ? ReplaySliced(machine, trace, sliced_options)
-      : sequential ? ReplaySequential(machine, trace)
-                   : ReplayConcurrent(machine, trace);
-  const char* mode = sliced      ? "sliced"
-                     : sequential ? "sequential"
-                                  : "concurrent";
+  const ReplayResult result = sequential
+                                  ? ReplaySequential(machine, trace)
+                                  : ReplaySliced(machine, trace, sliced_options);
+  const char* mode = sequential ? "sequential" : "sliced";
 
   std::printf(
       "machine=%s workers=%u mode=%s accesses=%llu host_sec=%.3f"
@@ -187,12 +162,12 @@ int main(int argc, char** argv) {
     std::fprintf(
         out,
         "{\"machine\": \"%s\", \"workers\": %u, \"mode\": \"%s\","
-        " \"host_threads\": %u, \"quantum\": %llu,"
+        " \"quantum\": %llu,"
         " \"accesses\": %llu, \"host_seconds\": %.6f,"
         " \"accesses_per_sec\": %.0f, \"sim_cycles\": %llu}\n",
         mc.name.c_str(), cfg.workers, mode,
-        sliced ? sliced_options.host_threads : cfg.workers,
-        static_cast<unsigned long long>(sliced ? sliced_options.quantum : 0),
+        static_cast<unsigned long long>(sequential ? 0
+                                                   : sliced_options.quantum),
         static_cast<unsigned long long>(result.accesses),
         result.host_seconds, result.accesses_per_sec,
         static_cast<unsigned long long>(result.sim_cycles));
