@@ -31,9 +31,9 @@ namespace {
 // worker, zipfian-skewed, mostly L1/LLC hits), or — when miss_mix >= 0 —
 // the miss-heavy variant: a 16 MiB private arena per worker whose cold
 // tail busts the LLC, with miss_mix of the stream drawn from it (see
-// ReplayTraceConfig::miss_mix). The miss-heavy rows are what the miss-leg
-// fast path (closed-form device charging, batched writeback trains) is
-// gated on; the hit-heavy rows guard the all-hit ceiling.
+// ReplayTraceConfig::miss_mix). The miss-heavy rows measure the device
+// leg (block fetches, flushes, media queueing); the hit-heavy rows guard
+// the all-hit ceiling.
 ReplayTraceConfig MeasuredTrace(uint32_t workers, bool quick, uint64_t seed,
                                 double miss_mix) {
   ReplayTraceConfig cfg;
@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
       }
       point.per_worker_efficiency =
           base_per_worker > 0.0 ? per_worker / base_per_worker : 0.0;
-      const HierarchyCounts& h = point.result.hierarchy;
+      const MachineStats& h = point.result.hierarchy;
       const uint64_t llc_refs = h.llc_hits + h.llc_misses;
       std::printf("%10s %8u %14llu %10.3f %14.0f %8.2f %10.1f\n",
                   point.trace, workers,
@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(sliced_a));
   for (size_t i = 0; i < sweep.size(); ++i) {
     const SweepPoint& p = sweep[i];
-    const HierarchyCounts& h = p.result.hierarchy;
+    const MachineStats& h = p.result.hierarchy;
     std::fprintf(
         out,
         "    {\"trace\": \"%s\", \"miss_mix\": %.2f,"

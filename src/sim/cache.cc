@@ -1,6 +1,5 @@
 #include "src/sim/cache.h"
 
-#include <cassert>
 #include <new>
 
 #include "src/util/hugepage.h"
@@ -23,23 +22,14 @@ constexpr uint32_t Log2(uint64_t v) {
 }  // namespace
 
 SetAssocCache::SetAssocCache(const CacheConfig& config, uint64_t seed)
-    : SetAssocCache(config, seed, /*shard=*/0, /*stride=*/1) {}
-
-SetAssocCache::SetAssocCache(const CacheConfig& config, uint64_t seed,
-                             uint64_t shard, uint64_t stride)
-    : config_(config), global_sets_(config.NumSets()), shard_(shard) {
+    : config_(config) {
   config_.Validate("cache");
-  assert(IsPow2(stride) && shard < stride &&
-         "shard stride must be a power of two");
+  num_sets_ = config_.NumSets();  // after Validate: ways may be 0 before it
   line_shift_ = Log2(config_.line_size);
-  global_set_mask_ = IsPow2(global_sets_) ? global_sets_ - 1 : 0;
-  set_mod_ = ModReciprocal(global_sets_);
-  stride_shift_ = Log2(stride);
-  // Global sets owned by this view: {shard, shard + stride, ...}.
-  num_sets_ =
-      global_sets_ > shard ? (global_sets_ - 1 - shard) / stride + 1 : 0;
-  // One contiguous SetBlock per owned set (layout constants validated
-  // against kSetBlockMaxBytes above). Chunk{} zero-fills, which already
+  set_mask_ = IsPow2(num_sets_) ? num_sets_ - 1 : 0;
+  set_mod_ = ModReciprocal(num_sets_);
+  // One contiguous SetBlock per set (layout constants validated against
+  // kSetBlockMaxBytes above). Chunk{} zero-fills, which already
   // initializes the packed age bytes.
   way_mod_.reserve(config_.ways + 1);
   for (uint64_t n = 0; n <= config_.ways; ++n) {
@@ -64,15 +54,10 @@ SetAssocCache::SetAssocCache(const CacheConfig& config, uint64_t seed,
       new (&meta[w]) CacheLineMeta{};
     }
   }
-  // Per-set RNG state comes from one SplitMix64 stream walked in GLOBAL set
-  // order; a shard view keeps only its own sets' draws. This is what makes a
-  // sharded cache's victim choices bit-identical to the monolithic cache's.
+  // Per-set RNG state comes from one SplitMix64 stream walked in set order.
   SplitMix64 sm(seed);
-  for (uint64_t g = 0; g < global_sets_; ++g) {
-    const uint64_t draw = sm.Next() | 1;
-    if ((g & (stride - 1)) == shard) {
-      ScalarsOf(g >> stride_shift_).rng = draw;
-    }
+  for (uint64_t set = 0; set < num_sets_; ++set) {
+    ScalarsOf(set).rng = sm.Next() | 1;
   }
 }
 

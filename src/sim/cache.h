@@ -5,14 +5,6 @@
 // one whole cache per L1 and one for the LLC; one host thread drives them
 // (scheduler.h), so the cache has no locking.
 //
-// A cache can also be constructed as a SHARD VIEW over every `stride`-th
-// set of a larger logical cache. A shard view behaves exactly like the
-// corresponding sets of the monolithic cache: per-set RNG streams are drawn
-// from the same global-set-order SplitMix64 sequence, so for any fixed
-// access sequence the victim choices are bit-identical to the unsharded
-// cache. Machine does not use shard views (its LLC is one whole cache);
-// tests/cache_layout_equiv_test.cc pins their equivalence.
-//
 // SetBlock layout (DESIGN.md §14): every set is ONE contiguous,
 // kSetBlockAlign-aligned block —
 //
@@ -70,31 +62,16 @@ class SetAssocCache {
     uint64_t sharers = 0;
   };
 
-  // Whole cache: owns every set. Validates `config` (throws
-  // std::invalid_argument, see CacheConfig::Validate).
+  // Validates `config` (throws std::invalid_argument, see
+  // CacheConfig::Validate).
   SetAssocCache(const CacheConfig& config, uint64_t seed);
 
-  // Shard view: owns the global sets {shard, shard + stride, ...} of the
-  // logical cache described by `config`. `stride` must be a power of two.
-  // Per-set RNG state is drawn from the same seed stream as the whole
-  // cache's, in global set order, so replacement decisions match the
-  // monolithic cache set-for-set.
-  SetAssocCache(const CacheConfig& config, uint64_t seed, uint64_t shard,
-                uint64_t stride);
-
-  // Set index of `line_addr` in the full logical cache. Power-of-two set
-  // counts mask; irregular ones use the precomputed magic-multiply
-  // reciprocal instead of a hardware divide.
-  uint64_t GlobalSetOf(uint64_t line_addr) const {
-    const uint64_t frame = line_addr >> line_shift_;
-    return global_set_mask_ != 0 ? (frame & global_set_mask_)
-                                 : set_mod_.Mod(frame);
-  }
-
-  // Index into this instance's sets (== GlobalSetOf for a whole cache). The
-  // line must map to this shard.
+  // Set index of `line_addr`. Power-of-two set counts mask; irregular ones
+  // use the precomputed magic-multiply reciprocal instead of a hardware
+  // divide.
   uint64_t SetIndexOf(uint64_t line_addr) const {
-    return GlobalSetOf(line_addr) >> stride_shift_;
+    const uint64_t frame = line_addr >> line_shift_;
+    return set_mask_ != 0 ? (frame & set_mask_) : set_mod_.Mod(frame);
   }
 
   // Probe without updating replacement state. Returns nullptr on miss.
@@ -197,13 +174,9 @@ class SetAssocCache {
   void AgeLine(uint64_t line_addr);
 
   const CacheConfig& config() const { return config_; }
-  // Sets owned by this instance (the full cache when stride == 1).
   uint64_t num_sets() const { return num_sets_; }
-  // Sets of the full logical cache.
-  uint64_t global_sets() const { return global_sets_; }
 
-  // Direct access to one owned set's way array (FlushAll, diagnostics).
-  // External locking rules apply, as for Probe.
+  // Direct access to one set's way array (FlushAll, diagnostics).
   CacheLineMeta* SetData(uint64_t set) { return MetaOf(set); }
   const CacheLineMeta* SetData(uint64_t set) const { return MetaOf(set); }
 
@@ -433,14 +406,11 @@ class SetAssocCache {
   }
 
   CacheConfig config_;
-  uint64_t global_sets_;
   uint64_t num_sets_;
   // Fast indexing: line_size is a power of two (validated); sets usually are.
   uint32_t line_shift_;
-  uint64_t global_set_mask_;  // global_sets_ - 1 when a power of two, else 0
-  uint32_t stride_shift_;     // log2(stride)
-  uint64_t shard_;
-  // Remainder by global_sets_ for the non-power-of-two fallback.
+  uint64_t set_mask_;  // num_sets_ - 1 when a power of two, else 0
+  // Remainder by num_sets_ for the non-power-of-two fallback.
   ModReciprocal set_mod_;
   // way_mod_[n].Mod(r) == r % n for n in [1, ways]: exact magic-multiply
   // remainders for the victim-candidate draw (PickVictim). Index 0 unused.

@@ -55,7 +55,7 @@ void DeviceConfig::Validate(const char* what) const {
       internal_buffer_blocks > kPmemMaxBufferBlocks) {
     Invalid(what, "internal_buffer_blocks must be in [1, " +
                       std::to_string(kPmemMaxBufferBlocks) +
-                      "] (uint16_t slot ids), got " +
+                      "] (per-DIMM slot reservation), got " +
                       std::to_string(internal_buffer_blocks));
   }
   if (internal_block_size == 0 || internal_block_size > kPmemMaxBlockBytes) {
@@ -63,6 +63,10 @@ void DeviceConfig::Validate(const char* what) const {
                       std::to_string(kPmemMaxBlockBytes) +
                       "] (8-bit written-line mask), got " +
                       std::to_string(internal_block_size));
+  }
+  if (interleave_bytes == 0) {
+    // PmemDevice maps an address to its module by addr / interleave_bytes.
+    Invalid(what, "interleave_bytes must be nonzero");
   }
 }
 

@@ -73,8 +73,8 @@ struct CacheConfig {
 };
 
 // ---- PMEM XPBuffer limits (PmemDevice, src/sim/device.h) ----
-// Slot ids are uint16_t with 0xffff reserved for an empty index entry, so a
-// module buffers at most kPmemMaxBufferBlocks blocks.
+// Every module reserves its buffer's slots when the device is built, so
+// this bounds that per-DIMM reservation (16 B per slot).
 inline constexpr uint32_t kPmemMaxBufferBlocks = 0xfffe;
 // Each block tracks which of its 64-byte lines were written in an 8-bit
 // mask, so a block holds at most 8 of them.
@@ -116,18 +116,10 @@ struct DeviceConfig {
   // itself, so every line-state change pays device latency.
   uint32_t directory_latency = 60;
 
-  // Selects the preserved pre-rework device implementation (linear XPBuffer
-  // scan, eager per-DIMM backlog walk, per-line writeback trains — see
-  // src/sim/reference_device.h) instead of the indexed fast path. The two
-  // must produce bit-identical machine digests; equivalence suites and the
-  // tier-1 miss-heavy smoke (sim_throughput_cli --device-path=reference)
-  // run both and compare.
-  bool reference_impl = false;
-
   // Throws std::invalid_argument (message prefixed with `what`) if the
   // device cannot be modelled. For kPmem: internal_buffer_blocks must be in
-  // [1, kPmemMaxBufferBlocks] and internal_block_size in
-  // [1, kPmemMaxBlockBytes]. Every Device runs it at construction.
+  // [1, kPmemMaxBufferBlocks], internal_block_size in [1, kPmemMaxBlockBytes]
+  // and interleave_bytes nonzero. Every Device runs it at construction.
   void Validate(const char* what) const;
 };
 

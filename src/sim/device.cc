@@ -1,7 +1,5 @@
 #include "src/sim/device.h"
 
-#include "src/sim/reference_device.h"
-
 namespace prestore {
 
 uint64_t DramDevice::Read(uint64_t addr, uint32_t bytes, uint64_t now) {
@@ -25,81 +23,42 @@ uint64_t DramDevice::Write(uint64_t addr, uint32_t bytes, uint64_t now) {
          FaultLatency(/*is_write=*/true, now);
 }
 
-void DramDevice::WriteTrain(const uint64_t* addrs, size_t n, uint32_t bytes,
-                            uint64_t now) {
-  if (n == 0) {
-    return;
-  }
-  if (config_.reference_impl || HasFaultHook()) {
-    Device::WriteTrain(addrs, n, bytes, now);
-    return;
-  }
-  // All n writes share one issue time and (hook-free) one transfer cost, so
-  // the meter recurrence collapses into a single closed-form charge; the
-  // per-write completion times the loop would compute are unobserved by
-  // every WriteTrain caller.
-  interface_.ReserveRun(TransferCost(bytes, now, config_.cycles_per_byte), n,
-                        now);
-  stats_.writes += n;
-  stats_.bytes_received += static_cast<uint64_t>(n) * bytes;
-  stats_.media_bytes_written += static_cast<uint64_t>(n) * bytes;
+namespace {
+
+double MediaReadCyclesPerByte(const DeviceConfig& config) {
+  return config.media_read_cycles_per_byte > 0.0
+             ? config.media_read_cycles_per_byte
+             : config.media_cycles_per_byte / 3.0;
 }
 
-// ---- PmemDevice: open-addressed XPBuffer index ----
+}  // namespace
 
-uint16_t* PmemDevice::IndexFind(Dimm& d, uint64_t block) {
-  const uint32_t mask = IndexMask(d);
-  uint32_t pos = BlockHash(block) & mask;
-  while (true) {
-    const uint16_t s = d.index[pos];
-    if (s == kIndexEmpty) {
-      return nullptr;
-    }
-    if (d.slots[s].block == block) {
-      return &d.index[pos];
-    }
-    pos = (pos + 1) & mask;
+PmemDevice::PmemDevice(const DeviceConfig& config)
+    : Device(config),
+      dimms_(std::max(1u, config.interleave_dimms)),
+      block_write_cost_(static_cast<uint64_t>(
+          config.internal_block_size * config.media_cycles_per_byte *
+          static_cast<double>(dimms_.size()))),
+      block_read_cost_(static_cast<uint64_t>(
+          config.internal_block_size * MediaReadCyclesPerByte(config) *
+          static_cast<double>(dimms_.size()))),
+      full_mask_(static_cast<uint8_t>(
+          (1u << std::max<uint32_t>(1, config.internal_block_size / 64)) -
+          1)) {
+  // Buffer-pressure faults only ever SHRINK the usable slot count, so the
+  // configured capacity (bounded by DeviceConfig::Validate, which the Device
+  // constructor ran) is the most a module ever holds.
+  for (Dimm& d : dimms_) {
+    d.slots.reserve(config.internal_buffer_blocks);
   }
-}
-
-void PmemDevice::IndexInsert(Dimm& d, uint64_t block, uint16_t slot) {
-  const uint32_t mask = IndexMask(d);
-  uint32_t pos = BlockHash(block) & mask;
-  while (d.index[pos] != kIndexEmpty) {
-    pos = (pos + 1) & mask;
-  }
-  d.index[pos] = slot;
-}
-
-void PmemDevice::IndexErase(Dimm& d, uint64_t block) {
-  const uint32_t mask = IndexMask(d);
-  uint32_t pos = BlockHash(block) & mask;
-  while (d.index[pos] == kIndexEmpty || d.slots[d.index[pos]].block != block) {
-    PRESTORE_INVARIANT(d.index[pos] != kIndexEmpty,
-                       "XPBuffer index erase of an unindexed block");
-    pos = (pos + 1) & mask;
-  }
-  // Backward-shift deletion: pull cluster members whose probe path crosses
-  // the hole back into it, so lookups never need tombstones.
-  uint32_t hole = pos;
-  uint32_t next = (hole + 1) & mask;
-  while (d.index[next] != kIndexEmpty) {
-    const uint32_t ideal = BlockHash(d.slots[d.index[next]].block) & mask;
-    if (((next - ideal) & mask) >= ((next - hole) & mask)) {
-      d.index[hole] = d.index[next];
-      hole = next;
-    }
-    next = (next + 1) & mask;
-  }
-  d.index[hole] = kIndexEmpty;
 }
 
 uint64_t PmemDevice::TouchBlock(uint64_t addr, bool dirty, uint64_t now,
                                 uint64_t* media_bytes_flushed) {
   Dimm& dimm = DimmFor(addr);
-  const uint64_t block = BlockOf(addr);
-  const uint8_t line_bit = LineBitOf(addr);
-  uint64_t media_work = 0;
+  const uint64_t block = addr / config_.internal_block_size;
+  const uint8_t line_bit = static_cast<uint8_t>(
+      1u << ((addr % config_.internal_block_size) / 64));
   // Buffer-pressure faults shrink the usable XPBuffer (never below one
   // slot), forcing early evictions exactly like competing internal traffic.
   uint32_t capacity = config_.internal_buffer_blocks;
@@ -108,50 +67,21 @@ uint64_t PmemDevice::TouchBlock(uint64_t addr, bool dirty, uint64_t now,
     capacity = stolen >= capacity ? 1 : capacity - stolen;
   }
   std::vector<BufferedBlock>& slots = dimm.slots;
-  // Hinted hit: back-to-back accesses to one internal block — the
-  // coalescing pattern sequentialized writebacks are shaped for —
-  // resolve on a single compare.
-  BufferedBlock& hinted = slots[dimm.last_hit];
-  if (hinted.valid && hinted.block == block) {
-    hinted.stamp = ++dimm.stamp_counter;
-    hinted.dirty = hinted.dirty || dirty;
-    if (dirty) {
-      hinted.written_mask |= line_bit;
-    }
-    return 0;  // coalesced: served from the buffer, no media work
-  }
-  if (uint16_t* ip = IndexFind(dimm, block)) {
-    const uint16_t s = *ip;
-    BufferedBlock& hit = slots[s];
-    hit.stamp = ++dimm.stamp_counter;
-    hit.dirty = hit.dirty || dirty;
-    if (dirty) {
-      hit.written_mask |= line_bit;
-    }
-    dimm.last_hit = s;
-    return 0;  // coalesced: served from the buffer, no media work
-  }
-  // Miss: evict least-recently-stamped blocks down to a free slot. The
-  // minimum stamp is exactly the block a recency-ordered array would
-  // evict from its back, so the flush order — and with it the §4.1
-  // media-byte accounting — is bit-identical to the reference scan.
-  // Every eviction leaves a known-free slot, so the steady-state path
-  // (full buffer, one eviction per insert) never rescans for one;
-  // scanning is only needed when the buffer has never been full. Which
-  // slot INDEX receives the block is simulation-neutral — recency lives
-  // in the stamps and lookup in the index, so any free slot yields the
-  // same timing, stats, and digests.
-  uint32_t free_slot = UINT32_MAX;
-  while (dimm.valid_count >= capacity) {
-    uint32_t vi = 0;
-    uint64_t oldest = UINT64_MAX;
-    for (uint32_t i = 0; i < slots.size(); ++i) {
-      if (slots[i].valid && slots[i].stamp < oldest) {
-        oldest = slots[i].stamp;
-        vi = i;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i].block == block) {
+      BufferedBlock& hit = slots[i];
+      hit.dirty = hit.dirty || dirty;
+      if (dirty) {
+        hit.written_mask |= line_bit;
       }
+      std::rotate(slots.begin(), slots.begin() + i, slots.begin() + i + 1);
+      return 0;  // coalesced: served from the buffer, no media work
     }
-    BufferedBlock& victim = slots[vi];
+  }
+  uint64_t media_work = 0;
+  while (slots.size() >= capacity) {
+    const BufferedBlock victim = slots.back();
+    slots.pop_back();
     if (victim.dirty) {
       // Dirty-block flush: the §4.1 write amplification. A partially
       // written block additionally pays the read-modify-write fetch.
@@ -161,25 +91,10 @@ uint64_t PmemDevice::TouchBlock(uint64_t addr, bool dirty, uint64_t now,
       }
       *media_bytes_flushed += config_.internal_block_size;
     }
-    IndexErase(dimm, victim.block);
-    victim.valid = false;
-    --dimm.valid_count;
-    free_slot = vi;
   }
-  if (free_slot == UINT32_MAX) {
-    for (uint32_t i = 0; i < slots.size(); ++i) {
-      if (!slots[i].valid) {
-        free_slot = i;
-        break;
-      }
-    }
-  }
-  slots[free_slot] =
-      BufferedBlock{block, ++dimm.stamp_counter, /*valid=*/true, dirty,
-                    dirty ? line_bit : static_cast<uint8_t>(0)};
-  ++dimm.valid_count;
-  IndexInsert(dimm, block, static_cast<uint16_t>(free_slot));
-  dimm.last_hit = static_cast<uint16_t>(free_slot);
+  slots.insert(slots.begin(),
+               BufferedBlock{block, dirty,
+                             dirty ? line_bit : static_cast<uint8_t>(0)});
   if (!dirty) {
     // A read miss must fetch the block to serve the data (the
     // read-amplification side; media reads are cheaper than writes).
@@ -193,13 +108,7 @@ uint64_t PmemDevice::TouchBlock(uint64_t addr, bool dirty, uint64_t now,
         static_cast<double>(media_work) *
         std::max(1.0, hook->BandwidthCostMultiplier(now)));
   }
-  // Apply any deferred observation floor before the reserve reads the
-  // reference, then refresh the device-level work high-water mark the
-  // InternalBacklogAt fast path tests against.
-  dimm.media.ObserveFloor(observed_floor_);
-  const uint64_t delay = dimm.media.Reserve(media_work, now);
-  media_work_peak_ = std::max(media_work_peak_, dimm.media.WorkMark());
-  return delay;
+  return dimm.media.Reserve(media_work, now);
 }
 
 uint64_t PmemDevice::Read(uint64_t addr, uint32_t bytes, uint64_t now) {
@@ -228,97 +137,30 @@ uint64_t PmemDevice::Write(uint64_t addr, uint32_t bytes, uint64_t now) {
          FaultLatency(/*is_write=*/true, now);
 }
 
-void PmemDevice::WriteTrain(const uint64_t* addrs, size_t n, uint32_t bytes,
-                            uint64_t now) {
-  if (n == 0) {
-    return;
-  }
-  if (config_.reference_impl || HasFaultHook()) {
-    Device::WriteTrain(addrs, n, bytes, now);
-    return;
-  }
-  // The XPBuffer touches must stay per-line and in order — FlushAll's
-  // global-set-major walk order is load-bearing for media-byte accounting —
-  // but the interface meter is independent of the media meters, so its
-  // same-cost charges regroup into maximal equal-issue-time runs, each a
-  // single closed-form ReserveRun. In the common case (the whole train
-  // coalesces into buffered blocks, every TouchBlock delay is 0) that is
-  // ONE meter transaction for the entire sweep.
-  const uint64_t cost = TransferCost(bytes, now, config_.cycles_per_byte);
-  uint64_t flushed = 0;
-  uint64_t run_at = 0;
-  uint64_t run_len = 0;
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t line_flushed = 0;
-    const uint64_t delay =
-        TouchBlock(addrs[i], /*dirty=*/true, now, &line_flushed);
-    flushed += line_flushed;
-    const uint64_t at = now + delay;
-    if (run_len != 0 && at == run_at) {
-      ++run_len;
-      continue;
-    }
-    if (run_len != 0) {
-      interface_.ReserveRun(cost, run_len, run_at);
-    }
-    run_at = at;
-    run_len = 1;
-  }
-  interface_.ReserveRun(cost, run_len, run_at);
-  stats_.writes += n;
-  stats_.bytes_received += static_cast<uint64_t>(n) * bytes;
-  stats_.media_bytes_written += flushed;
-}
-
 void PmemDevice::Drain() {
   for (Dimm& dimm : dimms_) {
-    for (BufferedBlock& entry : dimm.slots) {
-      if (entry.valid && entry.dirty) {
+    for (const BufferedBlock& entry : dimm.slots) {
+      if (entry.dirty) {
         stats_.media_bytes_written += config_.internal_block_size;
       }
-      entry.valid = false;
     }
-    std::fill(dimm.index.begin(), dimm.index.end(), kIndexEmpty);
-    dimm.valid_count = 0;
-    dimm.last_hit = 0;
+    dimm.slots.clear();
   }
 }
 
-uint64_t FarMemoryDevice::Read(uint64_t addr, uint32_t bytes, uint64_t now) {
-  (void)addr;
-  const uint64_t start = ReserveBandwidth(bytes, now, config_.cycles_per_byte);
-  ++stats_.reads;
-  stats_.bytes_read += bytes;
-  return start + config_.read_latency +
-         static_cast<uint64_t>(bytes * config_.cycles_per_byte) +
-         FaultLatency(/*is_write=*/false, now);
+void PmemDevice::Quiesce() {
+  Device::Quiesce();
+  for (Dimm& d : dimms_) {
+    d.media.Quiesce();
+  }
 }
 
-uint64_t FarMemoryDevice::Write(uint64_t addr, uint32_t bytes, uint64_t now) {
-  (void)addr;
-  const uint64_t start = ReserveBandwidth(bytes, now, config_.cycles_per_byte);
-  ++stats_.writes;
-  stats_.bytes_received += bytes;
-  stats_.media_bytes_written += bytes;
-  return start + config_.write_latency +
-         static_cast<uint64_t>(bytes * config_.cycles_per_byte) +
-         FaultLatency(/*is_write=*/true, now);
-}
-
-void FarMemoryDevice::WriteTrain(const uint64_t* addrs, size_t n,
-                                 uint32_t bytes, uint64_t now) {
-  if (n == 0) {
-    return;
+uint64_t PmemDevice::InternalBacklogAt(uint64_t now) {
+  uint64_t max_backlog = 0;
+  for (Dimm& d : dimms_) {
+    max_backlog = std::max(max_backlog, d.media.BacklogAt(now));
   }
-  if (config_.reference_impl || HasFaultHook()) {
-    Device::WriteTrain(addrs, n, bytes, now);
-    return;
-  }
-  interface_.ReserveRun(TransferCost(bytes, now, config_.cycles_per_byte), n,
-                        now);
-  stats_.writes += n;
-  stats_.bytes_received += static_cast<uint64_t>(n) * bytes;
-  stats_.media_bytes_written += static_cast<uint64_t>(n) * bytes;
+  return max_backlog;
 }
 
 uint64_t FarMemoryDevice::DirectoryAccess(uint64_t now) {
@@ -340,9 +182,6 @@ std::unique_ptr<Device> MakeDevice(const DeviceConfig& config) {
     case DeviceKind::kDram:
       return std::make_unique<DramDevice>(config);
     case DeviceKind::kPmem:
-      if (config.reference_impl) {
-        return std::make_unique<ReferencePmemDevice>(config);
-      }
       return std::make_unique<PmemDevice>(config);
     case DeviceKind::kFarMemory:
       return std::make_unique<FarMemoryDevice>(config);

@@ -328,26 +328,19 @@ void Machine::FlushAll() {
     c->Fence();
   }
   const uint64_t now = GlobalTime();
-  // Collect the dirty lines per device, in walk order, and issue each
-  // device's lines as one write train (Device::WriteTrain — the batched
-  // clean-sweep charging path). Same-device write order is preserved
-  // exactly — the L1 walks then the set-order, way-minor LLC walk, the
-  // order the per-line code issued — because PMEM write-combining
-  // (XPBuffer LRU and coalescing) makes media-byte counters depend on it.
-  // Splitting by device reorders only across devices, which commutes:
-  // the two devices share no meter, buffer, or stats state, and every
-  // write is issued at the same single timestamp `now`.
-  std::vector<uint64_t> dram_lines;
-  std::vector<uint64_t> target_lines;
-  auto collect = [&](uint64_t line) {
-    (line >= kTargetBase ? target_lines : dram_lines).push_back(line);
+  // Write back every dirty line at one timestamp, in walk order: the L1s,
+  // then the LLC set by set, way by way. The order is load-bearing because
+  // PMEM write-combining (XPBuffer LRU and coalescing) makes media-byte
+  // counters depend on it.
+  const auto write_back = [&](uint64_t line) {
+    DeviceFor(line).Write(line, config_.line_size, now);
   };
   for (auto& c : cores_) {
     for (uint64_t line : c->l1().ValidLines()) {
       CacheLineMeta* meta = c->l1().Probe(line);
       if (meta->dirty) {
         meta->dirty = false;
-        collect(line);
+        write_back(line);
       }
     }
   }
@@ -357,14 +350,10 @@ void Machine::FlushAll() {
       CacheLineMeta& meta = base[w];
       if (meta.valid && meta.dirty) {
         meta.dirty = false;
-        collect(meta.line_addr);
+        write_back(meta.line_addr);
       }
     }
   }
-  dram_->WriteTrain(dram_lines.data(), dram_lines.size(), config_.line_size,
-                    now);
-  target_->WriteTrain(target_lines.data(), target_lines.size(),
-                      config_.line_size, now);
   dram_->Drain();
   target_->Drain();
 }

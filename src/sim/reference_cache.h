@@ -17,7 +17,6 @@
 #ifndef SRC_SIM_REFERENCE_CACHE_H_
 #define SRC_SIM_REFERENCE_CACHE_H_
 
-#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -32,19 +31,11 @@ class ReferenceSetAssocCache {
   using Victim = SetAssocCache::Victim;
 
   ReferenceSetAssocCache(const CacheConfig& config, uint64_t seed)
-      : ReferenceSetAssocCache(config, seed, /*shard=*/0, /*stride=*/1) {}
-
-  ReferenceSetAssocCache(const CacheConfig& config, uint64_t seed,
-                         uint64_t shard, uint64_t stride)
-      : config_(config), global_sets_(config.NumSets()), shard_(shard) {
+      : config_(config) {
     config_.Validate("cache");
-    assert(IsPow2(stride) && shard < stride &&
-           "shard stride must be a power of two");
+    num_sets_ = config_.NumSets();
     line_shift_ = Log2(config_.line_size);
-    global_set_mask_ = IsPow2(global_sets_) ? global_sets_ - 1 : 0;
-    stride_shift_ = Log2(stride);
-    num_sets_ =
-        global_sets_ > shard ? (global_sets_ - 1 - shard) / stride + 1 : 0;
+    set_mask_ = IsPow2(num_sets_) ? num_sets_ - 1 : 0;
     lines_.resize(num_sets_ * config_.ways);
     tags_.assign(num_sets_ * config_.ways, kInvalidTag);
     ages_.assign(num_sets_ * config_.ways, 0);
@@ -53,24 +44,16 @@ class ReferenceSetAssocCache {
     set_rng_.resize(num_sets_);
     way_hint_.assign(num_sets_, kNoHint);
     valid_count_.assign(num_sets_, 0);
-    // Same global-set-order SplitMix64 walk as the SetBlock cache.
+    // Same set-order SplitMix64 walk as the SetBlock cache.
     SplitMix64 sm(seed);
-    for (uint64_t g = 0; g < global_sets_; ++g) {
-      const uint64_t draw = sm.Next() | 1;
-      if ((g & (stride - 1)) == shard) {
-        set_rng_[g >> stride_shift_] = draw;
-      }
+    for (uint64_t set = 0; set < num_sets_; ++set) {
+      set_rng_[set] = sm.Next() | 1;
     }
   }
 
-  uint64_t GlobalSetOf(uint64_t line_addr) const {
-    const uint64_t frame = line_addr >> line_shift_;
-    return global_set_mask_ != 0 ? (frame & global_set_mask_)
-                                 : frame % global_sets_;
-  }
-
   uint64_t SetIndexOf(uint64_t line_addr) const {
-    return GlobalSetOf(line_addr) >> stride_shift_;
+    const uint64_t frame = line_addr >> line_shift_;
+    return set_mask_ != 0 ? (frame & set_mask_) : frame % num_sets_;
   }
 
   CacheLineMeta* Probe(uint64_t line_addr) {
@@ -185,7 +168,6 @@ class ReferenceSetAssocCache {
 
   const CacheConfig& config() const { return config_; }
   uint64_t num_sets() const { return num_sets_; }
-  uint64_t global_sets() const { return global_sets_; }
 
   CacheLineMeta* SetData(uint64_t set) { return SetBase(set); }
   const CacheLineMeta* SetData(uint64_t set) const { return SetBase(set); }
@@ -348,12 +330,9 @@ class ReferenceSetAssocCache {
   }
 
   CacheConfig config_;
-  uint64_t global_sets_;
   uint64_t num_sets_;
   uint32_t line_shift_;
-  uint64_t global_set_mask_;
-  uint32_t stride_shift_;
-  uint64_t shard_;
+  uint64_t set_mask_;
 
   std::vector<CacheLineMeta> lines_;
   std::vector<uint64_t> tags_;

@@ -75,23 +75,12 @@ struct ReplayTrace {
   uint64_t total_accesses = 0;  // loads + stores across all workers
 };
 
-// Aggregated shared-hierarchy counters of a replay.
-struct HierarchyCounts {
-  uint64_t llc_hits = 0;
-  uint64_t llc_misses = 0;
-  uint64_t llc_evictions = 0;
-  uint64_t back_invalidations = 0;
-  uint64_t interventions = 0;
-  uint64_t wbq_stall_cycles = 0;
-  uint64_t dir_upgrades = 0;
-};
-
 struct ReplayResult {
   uint64_t accesses = 0;     // loads + stores executed
   uint64_t sim_cycles = 0;   // simulated elapsed cycles (slowest core)
   double host_seconds = 0.0;
   double accesses_per_sec = 0.0;  // host-side engine throughput
-  HierarchyCounts hierarchy;
+  MachineStats hierarchy;  // aggregated shared-hierarchy counters
   uint64_t target_media_bytes = 0;
 };
 
@@ -206,14 +195,7 @@ inline ReplayResult Finish(Machine& machine, const ReplayTrace& trace,
           : 0.0;
   machine.FlushAll();  // settle dirty state so media accounting is complete
   result.sim_cycles = machine.GlobalTime() - start_cycles;
-  const auto& h = machine.hierarchy_stats();
-  result.hierarchy.llc_hits = h.llc_hits;
-  result.hierarchy.llc_misses = h.llc_misses;
-  result.hierarchy.llc_evictions = h.llc_evictions;
-  result.hierarchy.back_invalidations = h.back_invalidations;
-  result.hierarchy.interventions = h.interventions;
-  result.hierarchy.wbq_stall_cycles = h.wbq_stall_cycles;
-  result.hierarchy.dir_upgrades = h.dir_upgrades;
+  result.hierarchy = machine.hierarchy_stats();
   result.target_media_bytes = machine.target().Stats().media_bytes_written;
   return result;
 }

@@ -4,13 +4,12 @@
 // Insert/Remove/AgeLine/Touch/Probe interleavings. The layout is a pure
 // host-side transform, so EVERYTHING observable must match op for op:
 // hit/miss outcomes, victim choices (i.e. RNG draw order), per-set way
-// hints, and ValidLines(). Runs each policy against both a whole cache and
-// a 4-way shard view, and once with a non-power-of-two set count so the
-// magic-multiply GlobalSetOf fallback is exercised against the hardware
+// hints, and ValidLines(). Runs each policy twice: once with a
+// power-of-two set count and once with a non-power-of-two one, so the
+// magic-multiply SetIndexOf fallback is exercised against the hardware
 // divide it replaced.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -31,19 +30,13 @@ CacheConfig SmallCache(ReplacementPolicy policy, uint32_t ways,
   return cfg;
 }
 
-// Drives the reference cache, a whole SetBlock cache, and a strided shard
-// view of it through the same randomized op stream, asserting identical
-// observable behaviour throughout.
-void RunEquivalence(const CacheConfig& cfg, uint64_t seed, uint64_t stride,
-                    int ops) {
+// Drives the reference cache and a SetBlock cache through the same
+// randomized op stream, asserting identical observable behaviour
+// throughout.
+void RunEquivalence(const CacheConfig& cfg, uint64_t seed, int ops) {
   ReferenceSetAssocCache ref(cfg, seed);
   SetAssocCache whole(cfg, seed);
-  std::vector<SetAssocCache> shards;
-  shards.reserve(stride);
-  for (uint64_t s = 0; s < stride; ++s) {
-    shards.emplace_back(cfg, seed, s, stride);
-  }
-  ASSERT_EQ(ref.global_sets(), whole.global_sets());
+  ASSERT_EQ(ref.num_sets(), whole.num_sets());
 
   const uint64_t sets = cfg.NumSets();
   const auto check_state = [&](int at_op) {
@@ -51,20 +44,13 @@ void RunEquivalence(const CacheConfig& cfg, uint64_t seed, uint64_t stride,
     // lockstep too: a diverging hint means the lookup paths diverged.
     for (uint64_t g = 0; g < sets; ++g) {
       ASSERT_EQ(ref.DebugWayHint(g), whole.DebugWayHint(g))
-          << "whole-cache hint diverged for set " << g << " at op " << at_op;
-      ASSERT_EQ(ref.DebugWayHint(g),
-                shards[g % stride].DebugWayHint(g / stride))
-          << "shard hint diverged for global set " << g << " at op " << at_op;
+          << "hint diverged for set " << g << " at op " << at_op;
       // Replacement ages moved from CacheLineMeta into the packed SetBlock
       // header; compare them through the debug accessors.
       for (uint32_t w = 0; w < cfg.ways; ++w) {
         ASSERT_EQ(ref.DebugAge(g, w), whole.DebugAge(g, w))
             << "age diverged for set " << g << " way " << w << " at op "
             << at_op;
-        ASSERT_EQ(ref.DebugAge(g, w),
-                  shards[g % stride].DebugAge(g / stride, w))
-            << "shard age diverged for global set " << g << " way " << w
-            << " at op " << at_op;
       }
     }
     ASSERT_EQ(ref.ValidLines(), whole.ValidLines())
@@ -79,15 +65,12 @@ void RunEquivalence(const CacheConfig& cfg, uint64_t seed, uint64_t stride,
     x ^= x << 7;
     x ^= x >> 9;  // xorshift: deterministic address stream
     const uint64_t addr = (x % span_lines) * cfg.line_size;
-    SetAssocCache& shard = shards[whole.GlobalSetOf(addr) % stride];
     switch (i % 16) {
       case 13: {  // Remove
-        CacheLineMeta was_ref, was_whole, was_shard;
+        CacheLineMeta was_ref, was_whole;
         const bool rr = ref.Remove(addr, &was_ref);
         const bool rw = whole.Remove(addr, &was_whole);
-        const bool rs = shard.Remove(addr, &was_shard);
         ASSERT_EQ(rr, rw) << "remove presence diverged at op " << i;
-        ASSERT_EQ(rr, rs) << "shard remove presence diverged at op " << i;
         if (rr) {
           EXPECT_EQ(was_ref.dirty, was_whole.dirty);
           EXPECT_EQ(was_ref.stamp, was_whole.stamp);
@@ -97,7 +80,6 @@ void RunEquivalence(const CacheConfig& cfg, uint64_t seed, uint64_t stride,
       case 14:  // AgeLine (hits update the hint via the internal Probe)
         ref.AgeLine(addr);
         whole.AgeLine(addr);
-        shard.AgeLine(addr);
         break;
       case 15: {  // Peek must agree on residency (and, per check_state,
                   // never perturb the hints)
@@ -113,29 +95,21 @@ void RunEquivalence(const CacheConfig& cfg, uint64_t seed, uint64_t stride,
       default: {  // Touch, falling back to Insert on a miss
         CacheLineMeta* hit_ref = ref.Touch(addr);
         CacheLineMeta* hit_whole = whole.Touch(addr);
-        CacheLineMeta* hit_shard = shard.Touch(addr);
         ASSERT_EQ(hit_ref == nullptr, hit_whole == nullptr)
             << "hit/miss diverged at op " << i;
-        ASSERT_EQ(hit_ref == nullptr, hit_shard == nullptr)
-            << "shard hit/miss diverged at op " << i;
         if (hit_ref != nullptr) {
           EXPECT_EQ(hit_ref->stamp, hit_whole->stamp);
-          hit_ref->dirty = hit_whole->dirty = hit_shard->dirty = true;
+          hit_ref->dirty = hit_whole->dirty = true;
           break;
         }
         const bool dirty = (i & 1) != 0;
         const auto vr = ref.Insert(addr, dirty, nullptr);
         const auto vw = whole.Insert(addr, dirty, nullptr);
-        const auto vs = shard.Insert(addr, dirty, nullptr);
         ASSERT_EQ(vr.valid, vw.valid) << "victim presence diverged at op "
                                       << i;
-        ASSERT_EQ(vr.valid, vs.valid)
-            << "shard victim presence diverged at op " << i;
         if (vr.valid) {
           ASSERT_EQ(vr.line_addr, vw.line_addr)
               << "victim choice diverged at op " << i;
-          ASSERT_EQ(vr.line_addr, vs.line_addr)
-              << "shard victim choice diverged at op " << i;
           EXPECT_EQ(vr.dirty, vw.dirty);
         }
         break;
@@ -146,32 +120,21 @@ void RunEquivalence(const CacheConfig& cfg, uint64_t seed, uint64_t stride,
     }
   }
   check_state(ops);
-
-  // Shard-view union == whole cache (sorted: set order differs).
-  std::vector<uint64_t> whole_lines = whole.ValidLines();
-  std::vector<uint64_t> shard_lines;
-  for (const SetAssocCache& s : shards) {
-    const auto part = s.ValidLines();
-    shard_lines.insert(shard_lines.end(), part.begin(), part.end());
-  }
-  std::sort(whole_lines.begin(), whole_lines.end());
-  std::sort(shard_lines.begin(), shard_lines.end());
-  EXPECT_EQ(whole_lines, shard_lines);
 }
 
 class LayoutEquivalence
     : public ::testing::TestWithParam<ReplacementPolicy> {};
 
-TEST_P(LayoutEquivalence, MatchesReferenceWholeAndSharded) {
+TEST_P(LayoutEquivalence, MatchesReference) {
   RunEquivalence(SmallCache(GetParam(), 8, 32), /*seed=*/0x5e7b10cULL,
-                 /*stride=*/4, /*ops=*/6000);
+                 /*ops=*/6000);
 }
 
 TEST_P(LayoutEquivalence, MatchesReferenceOnNonPow2Sets) {
-  // 48 sets: GlobalSetOf takes the reciprocal-remainder fallback; the
+  // 48 sets: SetIndexOf takes the reciprocal-remainder fallback; the
   // reference uses the hardware divide it replaced.
   RunEquivalence(SmallCache(GetParam(), 4, 48), /*seed=*/0xa11ce,
-                 /*stride=*/2, /*ops=*/6000);
+                 /*ops=*/6000);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, LayoutEquivalence,

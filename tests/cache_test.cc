@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
@@ -216,91 +215,6 @@ TEST_P(ReplacementSweep, VictimIsFromSameSet) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementSweep,
-                         ::testing::Values(ReplacementPolicy::kLru,
-                                           ReplacementPolicy::kTreePlru,
-                                           ReplacementPolicy::kRandom,
-                                           ReplacementPolicy::kFifo,
-                                           ReplacementPolicy::kQuadAge));
-
-// Shard views must make exactly the decisions the monolithic cache makes:
-// same hits, same victims, same end state. Drives an identical op sequence
-// through one whole cache and through 4 shard views (each op routed to the
-// shard owning its set) and compares every outcome. This is the property
-// the sharded-LLC determinism guarantee stands on.
-class ShardEquivalence
-    : public ::testing::TestWithParam<ReplacementPolicy> {};
-
-TEST_P(ShardEquivalence, ShardViewsMatchMonolithicCache) {
-  const CacheConfig cfg = SmallCache(GetParam(), 4, 16);
-  constexpr uint64_t kStride = 4;
-  constexpr uint64_t kSeed = 0x5eedULL;
-  SetAssocCache whole(cfg, kSeed);
-  std::vector<SetAssocCache> shards;
-  shards.reserve(kStride);
-  for (uint64_t s = 0; s < kStride; ++s) {
-    shards.emplace_back(cfg, kSeed, s, kStride);
-  }
-  const auto shard_for = [&](uint64_t addr) -> SetAssocCache& {
-    return shards[whole.GlobalSetOf(addr) % kStride];
-  };
-
-  // Mixed op sequence: inserts with reuse (touch hits), removals, aging.
-  uint64_t x = 0x9e3779b97f4a7c15ULL;
-  for (int i = 0; i < 4000; ++i) {
-    x ^= x << 7;
-    x ^= x >> 9;  // xorshift: deterministic address stream
-    const uint64_t addr = (x % 512) * 64;
-    SetAssocCache& shard = shard_for(addr);
-    const int op = i % 16;
-    if (op == 13) {
-      CacheLineMeta was_whole, was_shard;
-      const bool rw = whole.Remove(addr, &was_whole);
-      const bool rs = shard.Remove(addr, &was_shard);
-      ASSERT_EQ(rw, rs) << "remove presence diverged at op " << i;
-      if (rw) {
-        EXPECT_EQ(was_whole.dirty, was_shard.dirty);
-      }
-      continue;
-    }
-    if (op == 14) {
-      whole.AgeLine(addr);
-      shard.AgeLine(addr);
-      continue;
-    }
-    CacheLineMeta* hit_whole = whole.Touch(addr);
-    CacheLineMeta* hit_shard = shard.Touch(addr);
-    ASSERT_EQ(hit_whole == nullptr, hit_shard == nullptr)
-        << "hit/miss diverged at op " << i;
-    if (hit_whole != nullptr) {
-      hit_whole->dirty = true;
-      hit_shard->dirty = true;
-      continue;
-    }
-    const bool dirty = (op & 1) != 0;
-    auto vw = whole.Insert(addr, dirty, nullptr);
-    auto vs = shard.Insert(addr, dirty, nullptr);
-    ASSERT_EQ(vw.valid, vs.valid) << "victim presence diverged at op " << i;
-    if (vw.valid) {
-      ASSERT_EQ(vw.line_addr, vs.line_addr)
-          << "victim choice diverged at op " << i;
-      EXPECT_EQ(vw.dirty, vs.dirty);
-    }
-  }
-
-  // End state: the union of the shard views' lines == the whole cache's.
-  std::vector<uint64_t> whole_lines = whole.ValidLines();
-  std::vector<uint64_t> shard_lines;
-  for (const SetAssocCache& s : shards) {
-    for (uint64_t line : s.ValidLines()) {
-      shard_lines.push_back(line);
-    }
-  }
-  std::sort(whole_lines.begin(), whole_lines.end());
-  std::sort(shard_lines.begin(), shard_lines.end());
-  EXPECT_EQ(whole_lines, shard_lines);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllPolicies, ShardEquivalence,
                          ::testing::Values(ReplacementPolicy::kLru,
                                            ReplacementPolicy::kTreePlru,
                                            ReplacementPolicy::kRandom,

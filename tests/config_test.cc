@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/sim/cache.h"
 #include "src/sim/config.h"
 #include "src/sim/device.h"
 #include "src/sim/machine.h"
@@ -79,6 +80,8 @@ TEST(CacheConfigValidate, RejectsZeroWays) {
   CacheConfig c = MachineA().llc;
   c.ways = 0;
   EXPECT_THROW(c.Validate("llc"), std::invalid_argument);
+  // The cache validates before it derives its set count from ways.
+  EXPECT_THROW(SetAssocCache cache(c, 1), std::invalid_argument);
 }
 
 TEST(CacheConfigValidate, RejectsWaysBeyondCandidateBuffer) {
@@ -146,9 +149,10 @@ TEST(CacheConfigValidate, SetBlockGeometryMatchesLayoutRules) {
   }
 }
 
-// DeviceConfig::Validate guards the PMEM XPBuffer model: slot ids are
-// uint16_t with a reserved empty sentinel, and the per-block written-line
-// mask is 8 bits. It runs in every build type, at device construction.
+// DeviceConfig::Validate guards the PMEM XPBuffer model: each module
+// reserves at most kPmemMaxBufferBlocks slots, the per-block written-line
+// mask is 8 bits, and addresses map to modules by interleave_bytes. It runs
+// in every build type, at device construction.
 TEST(DeviceConfigValidate, AcceptsEveryPreset) {
   for (const MachineConfig& m :
        {MachineA(), MachineBFast(), MachineBSlow(), MachineACxlSsd()}) {
@@ -163,7 +167,7 @@ TEST(DeviceConfigValidate, RejectsZeroBufferBlocks) {
   EXPECT_THROW(d.Validate("target"), std::invalid_argument);
 }
 
-TEST(DeviceConfigValidate, RejectsBufferBlocksPastSlotIdRange) {
+TEST(DeviceConfigValidate, RejectsBufferBlocksPastReservationLimit) {
   DeviceConfig d = MachineA().target;
   d.internal_buffer_blocks = kPmemMaxBufferBlocks + 1;
   try {
@@ -174,7 +178,7 @@ TEST(DeviceConfigValidate, RejectsBufferBlocksPastSlotIdRange) {
               std::string::npos)
         << e.what();
   }
-  // The largest bench sweep point and the slot-id limit itself are fine.
+  // The largest bench sweep point and the limit itself are fine.
   d.internal_buffer_blocks = 1024;
   EXPECT_NO_THROW(d.Validate("target"));
   d.internal_buffer_blocks = kPmemMaxBufferBlocks;
@@ -199,8 +203,16 @@ TEST(DeviceConfigValidate, DeviceConstructionRejectsOversizedBuffer) {
   MachineConfig m = MachineA(1);
   m.target.internal_buffer_blocks = kPmemMaxBufferBlocks + 1;
   EXPECT_THROW(MakeDevice(m.target), std::invalid_argument);
-  m.target.reference_impl = true;
+}
+
+TEST(DeviceConfigValidate, RejectsZeroInterleave) {
+  // PmemDevice picks an address's module by addr / interleave_bytes; a zero
+  // interleave must be refused before any access can divide by it.
+  MachineConfig m = MachineA(1);
+  m.target.interleave_bytes = 0;
+  EXPECT_THROW(m.target.Validate("target"), std::invalid_argument);
   EXPECT_THROW(MakeDevice(m.target), std::invalid_argument);
+  EXPECT_THROW(Machine machine(m), std::invalid_argument);
 }
 
 // ---- MachineConfig::Validate: the coherence directory's domain ----

@@ -59,6 +59,28 @@ TEST(SimDeterminism, MachineBDigestMatchesPreReworkEngine) {
   EXPECT_EQ(RunDigest(MachineBFast(3), 3), kRecorded);
 }
 
+// Miss-heavy, store-heavy trace on Machine A (the tier-1 and CI miss-leg
+// smoke, `sim_throughput_cli --workers=2 --sequential --ops=20000
+// --keys=16384 --shared-keys=256 --shared-fraction=0.1 --read-ratio=0.4
+// --theta=0 --miss-mix=0.8 --seed=42 --digest`): most ops end in device
+// work, so this pins the PMEM XPBuffer and media accounting end to end.
+TEST(SimDeterminism, MissLegDigestMatchesRecorded) {
+  ReplayTraceConfig cfg;
+  cfg.workers = 2;
+  cfg.ops_per_worker = 20000;
+  cfg.keys_per_worker = 16384;
+  cfg.shared_keys = 256;
+  cfg.shared_fraction = 0.1;
+  cfg.read_ratio = 0.4;
+  cfg.zipf_theta = 0.0;
+  cfg.miss_mix = 0.8;
+  cfg.seed = 42;
+  Machine machine(MachineA(2));
+  const ReplayTrace trace = GenerateReplayTrace(machine, cfg);
+  ReplaySequential(machine, trace);
+  EXPECT_EQ(DigestMachine(machine, 2), 0xdf3675ef331ab243ULL);
+}
+
 // Same-process repeatability, independent of any recorded constant (and of
 // libm: this variant runs the zipfian trace too).
 TEST(SimDeterminism, RepeatedReplaysAreBitIdentical) {

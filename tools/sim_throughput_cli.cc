@@ -44,11 +44,6 @@ void PrintUsage() {
       "                       the classic uniform/zipfian key stream)\n"
       "  --seed=N             trace seed (42)\n"
       "  --machine=A|B|Bslow  machine preset (A)\n"
-      "  --device-path=fast|reference\n"
-      "                       fast (default): the production device models;\n"
-      "                       reference: the naive event-at-a-time device\n"
-      "                       meters — slow, for A/B digest comparison\n"
-      "                       against the production devices\n"
       "\n"
       "Execution mode (default: sliced — each worker a fiber on the\n"
       "deterministic scheduler, fixed-quantum rounds):\n"
@@ -74,8 +69,7 @@ int main(int argc, char** argv) {
   const auto unknown = flags.UnknownFlags(
       {"workers", "ops", "keys", "shared-keys", "shared-fraction",
        "value-size", "read-ratio", "theta", "clean-period", "miss-mix",
-       "seed", "machine", "device-path", "quantum", "sequential", "digest",
-       "json"});
+       "seed", "machine", "quantum", "sequential", "digest", "json"});
   if (!unknown.empty()) {
     for (const std::string& flag : unknown) {
       std::fprintf(stderr, "unknown flag --%s\n", flag.c_str());
@@ -95,13 +89,6 @@ int main(int argc, char** argv) {
   cfg.clean_period = static_cast<uint32_t>(flags.GetInt("clean-period", 8));
   cfg.miss_mix = flags.GetDouble("miss-mix", -1.0);
   cfg.seed = flags.GetInt("seed", 42);
-
-  const std::string device_path = flags.GetString("device-path", "fast");
-  if (device_path != "fast" && device_path != "reference") {
-    std::fprintf(stderr, "--device-path must be fast or reference (got %s)\n",
-                 device_path.c_str());
-    return 1;
-  }
 
   const bool sequential = flags.GetBool("sequential", false);
   ReplaySlicedOptions sliced_options;
@@ -123,13 +110,6 @@ int main(int argc, char** argv) {
   MachineConfig mc = preset == "B"    ? MachineBFast(cfg.workers)
                      : preset == "Bslow" ? MachineBSlow(cfg.workers)
                                          : MachineA(cfg.workers);
-  if (device_path == "reference") {
-    // Reference leg of the A/B digest contract: naive event-at-a-time
-    // device meters. Identical simulated results, none of the closed-form
-    // charging.
-    mc.dram.reference_impl = true;
-    mc.target.reference_impl = true;
-  }
   Machine machine(mc);
   const ReplayTrace trace = GenerateReplayTrace(machine, cfg);
   const ReplayResult result = sequential
