@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "bench/listings.h"
+#include "bench/run_configs.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 
@@ -19,13 +20,18 @@ int main(int argc, char** argv) {
             << "media_cpb = cycles per media byte (higher = slower "
                "media).\n\n";
 
-  TextTable t({"media_cpb", "amp_base", "clean_speedup"});
-  for (const double cpb : {0.1, 0.25, 0.45, 0.9, 1.8}) {
+  const double media_cpb[] = {0.1, 0.25, 0.45, 0.9, 1.8};
+  const auto runs = RunConfigs(5 * 2, [&](size_t i) {
     MachineConfig cfg = MachineA(2);
-    cfg.target.media_cycles_per_byte = cpb;
-    const auto base = RunListing1(cfg, 2, 1024, false, iters);
-    const auto clean = RunListing1(cfg, 2, 1024, true, iters);
-    t.AddRow(cpb, base.amplification,
+    cfg.target.media_cycles_per_byte = media_cpb[i / 2];
+    return RunListing1(cfg, 2, 1024, /*clean=*/i % 2 == 1, iters);
+  });
+
+  TextTable t({"media_cpb", "amp_base", "clean_speedup"});
+  for (size_t k = 0; k < 5; ++k) {
+    const Listing1Result& base = runs[2 * k];
+    const Listing1Result& clean = runs[2 * k + 1];
+    t.AddRow(media_cpb[k], base.amplification,
              static_cast<double>(base.cycles) / clean.cycles);
   }
   t.Print(std::cout);

@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "bench/listings.h"
+#include "bench/run_configs.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 
@@ -17,19 +18,24 @@ int main(int argc, char** argv) {
   std::cout << "=== Ablation: store-buffer drain policy (Listing 2, 30 "
                "reads, B-fast device) ===\n\n";
 
-  TextTable t({"drain_policy", "base_cycles", "demote_cycles", "improv_%"});
   struct Drain {
     const char* name;
     StoreDrainPolicy policy;
   };
-  for (auto& [name, policy] :
-       {Drain{"lazy (weak, ARM-like)", StoreDrainPolicy::kLazyWeak},
-        Drain{"eager (TSO, x86-like)", StoreDrainPolicy::kEagerTso}}) {
+  const Drain drains[] = {
+      {"lazy (weak, ARM-like)", StoreDrainPolicy::kLazyWeak},
+      {"eager (TSO, x86-like)", StoreDrainPolicy::kEagerTso}};
+  const auto cycles = RunConfigs(2 * 2, [&](size_t i) {
     MachineConfig cfg = MachineBFast(1);
-    cfg.drain = policy;
-    const uint64_t base = RunListing2(cfg, false, 30, iters);
-    const uint64_t demote = RunListing2(cfg, true, 30, iters);
-    t.AddRow(name, base, demote, Improvement(base, demote));
+    cfg.drain = drains[i / 2].policy;
+    return RunListing2(cfg, /*demote=*/i % 2 == 1, 30, iters);
+  });
+
+  TextTable t({"drain_policy", "base_cycles", "demote_cycles", "improv_%"});
+  for (size_t k = 0; k < 2; ++k) {
+    const uint64_t base = cycles[2 * k];
+    const uint64_t demote = cycles[2 * k + 1];
+    t.AddRow(drains[k].name, base, demote, Improvement(base, demote));
   }
   t.Print(std::cout);
   return 0;

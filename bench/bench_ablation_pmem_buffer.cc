@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "bench/listings.h"
+#include "bench/run_configs.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 
@@ -18,13 +19,18 @@ int main(int argc, char** argv) {
   std::cout << "=== Ablation: PMEM internal buffer (Listing 1, 2 threads, "
                "1KB elements) ===\n\n";
 
-  TextTable t({"buffer_blocks", "amp_base", "amp_clean", "clean_speedup"});
-  for (const uint32_t blocks : {4u, 16u, 64u, 256u, 1024u}) {
+  const uint32_t buffer_blocks[] = {4, 16, 64, 256, 1024};
+  const auto runs = RunConfigs(5 * 2, [&](size_t i) {
     MachineConfig cfg = MachineA(2);
-    cfg.target.internal_buffer_blocks = blocks;
-    const auto base = RunListing1(cfg, 2, 1024, false, iters);
-    const auto clean = RunListing1(cfg, 2, 1024, true, iters);
-    t.AddRow(blocks, base.amplification, clean.amplification,
+    cfg.target.internal_buffer_blocks = buffer_blocks[i / 2];
+    return RunListing1(cfg, 2, 1024, /*clean=*/i % 2 == 1, iters);
+  });
+
+  TextTable t({"buffer_blocks", "amp_base", "amp_clean", "clean_speedup"});
+  for (size_t k = 0; k < 5; ++k) {
+    const Listing1Result& base = runs[2 * k];
+    const Listing1Result& clean = runs[2 * k + 1];
+    t.AddRow(buffer_blocks[k], base.amplification, clean.amplification,
              static_cast<double>(base.cycles) / clean.cycles);
   }
   t.Print(std::cout);

@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "bench/listings.h"
+#include "bench/run_configs.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 
@@ -18,22 +19,27 @@ int main(int argc, char** argv) {
   std::cout << "=== Ablation: LLC replacement policy (Listing 1, 2 threads, "
                "1KB elements) ===\n\n";
 
-  TextTable t({"llc_policy", "amp_base", "amp_clean", "clean_speedup"});
   struct Policy {
     const char* name;
     ReplacementPolicy policy;
   };
-  for (auto& [name, policy] :
-       {Policy{"quad-age (Intel-like)", ReplacementPolicy::kQuadAge},
-        Policy{"tree-plru", ReplacementPolicy::kTreePlru},
-        Policy{"random", ReplacementPolicy::kRandom},
-        Policy{"fifo", ReplacementPolicy::kFifo},
-        Policy{"strict-lru", ReplacementPolicy::kLru}}) {
+  const Policy policies[] = {
+      {"quad-age (Intel-like)", ReplacementPolicy::kQuadAge},
+      {"tree-plru", ReplacementPolicy::kTreePlru},
+      {"random", ReplacementPolicy::kRandom},
+      {"fifo", ReplacementPolicy::kFifo},
+      {"strict-lru", ReplacementPolicy::kLru}};
+  const auto runs = RunConfigs(5 * 2, [&](size_t i) {
     MachineConfig cfg = MachineA(2);
-    cfg.llc.policy = policy;
-    const auto base = RunListing1(cfg, 2, 1024, false, iters);
-    const auto clean = RunListing1(cfg, 2, 1024, true, iters);
-    t.AddRow(name, base.amplification, clean.amplification,
+    cfg.llc.policy = policies[i / 2].policy;
+    return RunListing1(cfg, 2, 1024, /*clean=*/i % 2 == 1, iters);
+  });
+
+  TextTable t({"llc_policy", "amp_base", "amp_clean", "clean_speedup"});
+  for (size_t k = 0; k < 5; ++k) {
+    const Listing1Result& base = runs[2 * k];
+    const Listing1Result& clean = runs[2 * k + 1];
+    t.AddRow(policies[k].name, base.amplification, clean.amplification,
              static_cast<double>(base.cycles) / clean.cycles);
   }
   t.Print(std::cout);

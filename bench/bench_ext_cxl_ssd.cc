@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "bench/listings.h"
+#include "bench/run_configs.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 
@@ -19,18 +20,25 @@ int main(int argc, char** argv) {
             << "The paper motivates pre-stores with exactly this class of "
                "device (§1, Table 1); the amplification ceiling is 8x.\n\n";
 
+  // Rows (element size) x (1, 4 threads); each a baseline, then a clean run.
+  const uint32_t elts[] = {64, 512, 2048};
+  const uint32_t thread_counts[] = {1, 4};
+  const auto runs = RunConfigs(3 * 2 * 2, [&](size_t i) {
+    const uint32_t elt = elts[i / 4];
+    const uint32_t threads = thread_counts[i / 2 % 2];
+    const uint32_t n = std::max<uint32_t>(200, iters * 1024 / elt);
+    return RunListing1(MachineACxlSsd(threads), threads, elt,
+                       /*clean=*/i % 2 == 1, n);
+  });
+
   TextTable t({"elt_size", "threads", "amp_base", "amp_clean",
                "clean_speedup"});
-  for (const uint32_t elt : {64u, 512u, 2048u}) {
-    for (const uint32_t threads : {1u, 4u}) {
-      const uint32_t n = std::max<uint32_t>(200, iters * 1024 / elt);
-      const auto base =
-          RunListing1(MachineACxlSsd(threads), threads, elt, false, n);
-      const auto clean =
-          RunListing1(MachineACxlSsd(threads), threads, elt, true, n);
-      t.AddRow(elt, threads, base.amplification, clean.amplification,
-               static_cast<double>(base.cycles) / clean.cycles);
-    }
+  for (size_t row = 0; row < 3 * 2; ++row) {
+    const Listing1Result& base = runs[2 * row];
+    const Listing1Result& clean = runs[2 * row + 1];
+    t.AddRow(elts[row / 2], thread_counts[row % 2], base.amplification,
+             clean.amplification,
+             static_cast<double>(base.cycles) / clean.cycles);
   }
   t.Print(std::cout);
   return 0;

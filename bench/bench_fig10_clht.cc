@@ -3,8 +3,10 @@
 // clean up to 2.3x over baseline; gains start once the value size exceeds
 // the CPU line (64B) and grow to the PMEM block size (256B) and beyond.
 #include <iostream>
+#include <vector>
 
 #include "bench/kv_bench.h"
+#include "bench/run_configs.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 
@@ -19,18 +21,22 @@ int main(int argc, char** argv) {
             << "Requests per Mcycle (the paper reports requests/second; "
                "shapes are comparable). Higher is better.\n\n";
 
+  const std::vector<uint32_t> sizes = {64, 128, 256, 512, 1024, 2048, 4096};
+  const auto runs = RunConfigs(sizes.size() * 3, [&](size_t i) {
+    const uint32_t vs = sizes[i / 3];
+    return RunKvBench(KvMachineA(), KvStoreKind::kClht, vs,
+                      kKvPolicies[i % 3], threads,
+                      vs >= 2048 ? ops / 2 : ops);
+  });
+
   TextTable t({"value_size", "baseline", "clean", "skip", "clean_x",
                "skip_x"});
-  for (const uint32_t vs : {64u, 128u, 256u, 512u, 1024u, 2048u, 4096u}) {
-    const uint32_t n = vs >= 2048 ? ops / 2 : ops;
-    const auto base = RunKvBench(KvMachineA(), KvStoreKind::kClht, vs,
-                                 KvWritePolicy::kBaseline, threads, n);
-    const auto clean = RunKvBench(KvMachineA(), KvStoreKind::kClht, vs,
-                                  KvWritePolicy::kClean, threads, n);
-    const auto skip = RunKvBench(KvMachineA(), KvStoreKind::kClht, vs,
-                                 KvWritePolicy::kSkip, threads, n);
-    t.AddRow(vs, base.ThroughputPerMcycle(), clean.ThroughputPerMcycle(),
-             skip.ThroughputPerMcycle(),
+  for (size_t k = 0; k < sizes.size(); ++k) {
+    const YcsbResult& base = runs[3 * k];
+    const YcsbResult& clean = runs[3 * k + 1];
+    const YcsbResult& skip = runs[3 * k + 2];
+    t.AddRow(sizes[k], base.ThroughputPerMcycle(),
+             clean.ThroughputPerMcycle(), skip.ThroughputPerMcycle(),
              clean.ThroughputPerMcycle() / base.ThroughputPerMcycle(),
              skip.ThroughputPerMcycle() / base.ThroughputPerMcycle());
   }

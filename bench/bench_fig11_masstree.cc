@@ -1,8 +1,10 @@
 // Figure 11 (§7.2.3): Masstree under YCSB A on Machine A. Paper: skip up to
 // 2.5x, clean up to 1.9x over baseline.
 #include <iostream>
+#include <vector>
 
 #include "bench/kv_bench.h"
+#include "bench/run_configs.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 
@@ -16,18 +18,22 @@ int main(int argc, char** argv) {
   std::cout << "=== Figure 11: Masstree, YCSB A, Machine A ===\n"
             << "Requests per Mcycle. Higher is better.\n\n";
 
+  const std::vector<uint32_t> sizes = {64, 256, 1024, 4096};
+  const auto runs = RunConfigs(sizes.size() * 3, [&](size_t i) {
+    const uint32_t vs = sizes[i / 3];
+    return RunKvBench(KvMachineA(), KvStoreKind::kMasstree, vs,
+                      kKvPolicies[i % 3], threads,
+                      vs >= 2048 ? ops / 2 : ops);
+  });
+
   TextTable t({"value_size", "baseline", "clean", "skip", "clean_x",
                "skip_x"});
-  for (const uint32_t vs : {64u, 256u, 1024u, 4096u}) {
-    const uint32_t n = vs >= 2048 ? ops / 2 : ops;
-    const auto base = RunKvBench(KvMachineA(), KvStoreKind::kMasstree, vs,
-                                 KvWritePolicy::kBaseline, threads, n);
-    const auto clean = RunKvBench(KvMachineA(), KvStoreKind::kMasstree, vs,
-                                  KvWritePolicy::kClean, threads, n);
-    const auto skip = RunKvBench(KvMachineA(), KvStoreKind::kMasstree, vs,
-                                 KvWritePolicy::kSkip, threads, n);
-    t.AddRow(vs, base.ThroughputPerMcycle(), clean.ThroughputPerMcycle(),
-             skip.ThroughputPerMcycle(),
+  for (size_t k = 0; k < sizes.size(); ++k) {
+    const YcsbResult& base = runs[3 * k];
+    const YcsbResult& clean = runs[3 * k + 1];
+    const YcsbResult& skip = runs[3 * k + 2];
+    t.AddRow(sizes[k], base.ThroughputPerMcycle(),
+             clean.ThroughputPerMcycle(), skip.ThroughputPerMcycle(),
              clean.ThroughputPerMcycle() / base.ThroughputPerMcycle(),
              skip.ThroughputPerMcycle() / base.ThroughputPerMcycle());
   }

@@ -3,8 +3,10 @@
 // skip hold ~1x (they eliminate amplification); with 128B values pre-storing
 // halves the amplification.
 #include <iostream>
+#include <vector>
 
 #include "bench/kv_bench.h"
+#include "bench/run_configs.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 
@@ -20,17 +22,19 @@ int main(int argc, char** argv) {
             << "Lower is better; 4.0 is the PMEM ceiling (256B block / 64B "
                "line).\n\n";
 
+  const std::vector<uint32_t> sizes = {64, 128, 256, 512, 1024, 4096};
+  const auto runs = RunConfigs(sizes.size() * 3, [&](size_t i) {
+    const uint32_t vs = sizes[i / 3];
+    return RunKvBench(KvMachineA(), KvStoreKind::kClht, vs,
+                      kKvPolicies[i % 3], threads,
+                      vs >= 2048 ? ops / 2 : ops);
+  });
+
   TextTable t({"value_size", "baseline", "clean", "skip"});
-  for (const uint32_t vs : {64u, 128u, 256u, 512u, 1024u, 4096u}) {
-    const uint32_t n = vs >= 2048 ? ops / 2 : ops;
-    const auto base = RunKvBench(KvMachineA(), KvStoreKind::kClht, vs,
-                                 KvWritePolicy::kBaseline, threads, n);
-    const auto clean = RunKvBench(KvMachineA(), KvStoreKind::kClht, vs,
-                                  KvWritePolicy::kClean, threads, n);
-    const auto skip = RunKvBench(KvMachineA(), KvStoreKind::kClht, vs,
-                                 KvWritePolicy::kSkip, threads, n);
-    t.AddRow(vs, base.write_amplification, clean.write_amplification,
-             skip.write_amplification);
+  for (size_t k = 0; k < sizes.size(); ++k) {
+    t.AddRow(sizes[k], runs[3 * k].write_amplification,
+             runs[3 * k + 1].write_amplification,
+             runs[3 * k + 2].write_amplification);
   }
   t.Print(std::cout);
   return 0;

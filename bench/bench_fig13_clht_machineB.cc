@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "bench/kv_bench.h"
+#include "bench/run_configs.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 
@@ -21,18 +22,21 @@ int main(int argc, char** argv) {
                "(non-temporal stores are not portable to this ARM machine, "
                "so only clean is evaluated, as in the paper).\n\n";
 
+  // Rows B-fast, B-slow; each a baseline run, then a clean run.
+  const auto runs = RunConfigs(4, [&](size_t i) {
+    return RunKvBench(i < 2 ? MachineBFast() : MachineBSlow(),
+                      KvStoreKind::kClht, vs,
+                      i % 2 == 0 ? KvWritePolicy::kBaseline
+                                 : KvWritePolicy::kClean,
+                      threads, ops);
+  });
+
   TextTable t({"machine", "baseline", "clean", "improv_%"});
-  struct Config {
-    const char* name;
-    MachineConfig cfg;
-  };
-  for (auto& [name, cfg] : {Config{"B-fast", MachineBFast()},
-                            Config{"B-slow", MachineBSlow()}}) {
-    const auto base = RunKvBench(cfg, KvStoreKind::kClht, vs,
-                                 KvWritePolicy::kBaseline, threads, ops);
-    const auto clean = RunKvBench(cfg, KvStoreKind::kClht, vs,
-                                  KvWritePolicy::kClean, threads, ops);
-    t.AddRow(name, base.ThroughputPerMcycle(), clean.ThroughputPerMcycle(),
+  for (size_t k = 0; k < 2; ++k) {
+    const YcsbResult& base = runs[2 * k];
+    const YcsbResult& clean = runs[2 * k + 1];
+    t.AddRow(k == 0 ? "B-fast" : "B-slow", base.ThroughputPerMcycle(),
+             clean.ThroughputPerMcycle(),
              (clean.ThroughputPerMcycle() / base.ThroughputPerMcycle() - 1.0) *
                  100.0);
   }

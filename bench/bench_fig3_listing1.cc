@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "bench/listings.h"
+#include "bench/run_configs.h"
 #include "src/robust/governor.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
@@ -46,28 +47,42 @@ int main(int argc, char** argv) {
     return std::make_unique<PrestoreGovernor>(machine);
   };
 
+  // One row per (element size, thread count); each row is a baseline, a
+  // clean and a governed-clean run.
+  const uint32_t elts[] = {64, 256, 1024, 4096};
+  const uint32_t thread_counts[] = {1, 2, 5};
+  const auto runs = RunConfigs(4 * 3 * 3, [&](size_t i) {
+    const uint32_t elt = elts[i / 9];
+    const uint32_t threads = thread_counts[i / 3 % 3];
+    // Keep total bytes written comparable across element sizes.
+    const uint32_t n = std::max<uint32_t>(200, iters * 1024 / elt);
+    switch (i % 3) {
+      case 0:
+        return RunListing1(cfg_for(threads), threads, elt, false, n);
+      case 1:
+        return RunListing1(cfg_for(threads), threads, elt, true, n);
+      default:
+        return RunListing1(cfg_for(threads), threads, elt, true, n,
+                           64ULL << 20, governed_factory);
+    }
+  });
+
   TextTable t({"elt_size", "threads", "base_cycles", "clean_cycles",
                "gov_cycles", "speedup", "gov_overhead_%", "amp_base",
                "amp_clean"});
   double worst_gov_overhead = 0.0;
-  for (const uint32_t elt : {64u, 256u, 1024u, 4096u}) {
-    for (const uint32_t threads : {1u, 2u, 5u}) {
-      // Keep total bytes written comparable across element sizes.
-      const uint32_t n = std::max<uint32_t>(200, iters * 1024 / elt);
-      const auto base =
-          RunListing1(cfg_for(threads), threads, elt, false, n);
-      const auto clean =
-          RunListing1(cfg_for(threads), threads, elt, true, n);
-      const auto governed = RunListing1(cfg_for(threads), threads, elt, true,
-                                        n, 64ULL << 20, governed_factory);
-      const double gov_overhead =
-          (static_cast<double>(governed.cycles) / clean.cycles - 1.0) * 100.0;
-      worst_gov_overhead = std::max(worst_gov_overhead, gov_overhead);
-      t.AddRow(elt, threads, base.cycles, clean.cycles, governed.cycles,
-               static_cast<double>(base.cycles) /
-                   static_cast<double>(clean.cycles),
-               gov_overhead, base.amplification, clean.amplification);
-    }
+  for (size_t row = 0; row < 4 * 3; ++row) {
+    const Listing1Result& base = runs[3 * row];
+    const Listing1Result& clean = runs[3 * row + 1];
+    const Listing1Result& governed = runs[3 * row + 2];
+    const double gov_overhead =
+        (static_cast<double>(governed.cycles) / clean.cycles - 1.0) * 100.0;
+    worst_gov_overhead = std::max(worst_gov_overhead, gov_overhead);
+    t.AddRow(elts[row / 3], thread_counts[row % 3], base.cycles, clean.cycles,
+             governed.cycles,
+             static_cast<double>(base.cycles) /
+                 static_cast<double>(clean.cycles),
+             gov_overhead, base.amplification, clean.amplification);
   }
   t.Print(std::cout);
   std::cout << "\nWorst governed-vs-clean overhead: " << worst_gov_overhead

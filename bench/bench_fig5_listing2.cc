@@ -2,8 +2,10 @@
 // demoting dirty data before a fence, varying the number of L1 reads
 // between the write and the fence, for the fast and slow FPGA configs.
 #include <iostream>
+#include <vector>
 
 #include "bench/listings.h"
+#include "bench/run_configs.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 
@@ -17,17 +19,20 @@ int main(int argc, char** argv) {
             << "Paper shape: ~0% at n=0, hump up to ~65%, back to ~0% for "
                "large n; the slow FPGA peaks at a larger read window.\n\n";
 
-  TextTable t({"n_reads", "B-fast_improv_%", "B-slow_improv_%"});
-  for (const uint32_t n :
-       {0u, 5u, 10u, 20u, 40u, 80u, 160u, 320u, 640u, 1280u}) {
+  // Per read window: B-fast base, B-fast demote, B-slow base, B-slow demote.
+  const std::vector<uint32_t> windows = {0,  5,   10,  20,  40,
+                                         80, 160, 320, 640, 1280};
+  const auto cycles = RunConfigs(windows.size() * 4, [&](size_t i) {
+    const uint32_t n = windows[i / 4];
     const uint32_t it = n >= 320 ? iters / 4 : iters;
-    const double fast =
-        Improvement(RunListing2(MachineBFast(1), false, n, it),
-                    RunListing2(MachineBFast(1), true, n, it));
-    const double slow =
-        Improvement(RunListing2(MachineBSlow(1), false, n, it),
-                    RunListing2(MachineBSlow(1), true, n, it));
-    t.AddRow(n, fast, slow);
+    const MachineConfig cfg = i % 4 < 2 ? MachineBFast(1) : MachineBSlow(1);
+    return RunListing2(cfg, /*demote=*/i % 2 == 1, n, it);
+  });
+
+  TextTable t({"n_reads", "B-fast_improv_%", "B-slow_improv_%"});
+  for (size_t k = 0; k < windows.size(); ++k) {
+    const uint64_t* c = &cycles[4 * k];
+    t.AddRow(windows[k], Improvement(c[0], c[1]), Improvement(c[2], c[3]));
   }
   t.Print(std::cout);
   return 0;

@@ -3,6 +3,7 @@
 // as a function of the training batch size.
 #include <iostream>
 
+#include "bench/run_configs.h"
 #include "src/sim/harness.h"
 #include "src/tensor/training.h"
 #include "src/util/cli.h"
@@ -45,13 +46,20 @@ int main(int argc, char** argv) {
                "large batches; skip is a ~20% LOSS (evalPacket re-reads "
                "its own output).\n\n";
 
+  const uint32_t batches[] = {1, 8, 32, 96};
+  const TensorWritePolicy policies[] = {TensorWritePolicy::kBaseline,
+                                        TensorWritePolicy::kClean,
+                                        TensorWritePolicy::kSkip};
+  const auto cycles = RunConfigs(4 * 3, [&](size_t i) {
+    return RunTraining(batches[i / 3], policies[i % 3], steps);
+  });
+
   TextTable t({"batch", "base_cycles", "clean_improv_%", "skip_improv_%"});
-  for (const uint32_t batch : {1u, 8u, 32u, 96u}) {
-    const uint64_t base =
-        RunTraining(batch, TensorWritePolicy::kBaseline, steps);
-    const uint64_t clean = RunTraining(batch, TensorWritePolicy::kClean, steps);
-    const uint64_t skip = RunTraining(batch, TensorWritePolicy::kSkip, steps);
-    t.AddRow(batch, base,
+  for (size_t k = 0; k < 4; ++k) {
+    const uint64_t base = cycles[3 * k];
+    const uint64_t clean = cycles[3 * k + 1];
+    const uint64_t skip = cycles[3 * k + 2];
+    t.AddRow(batches[k], base,
              (static_cast<double>(base) / clean - 1.0) * 100.0,
              (static_cast<double>(base) / skip - 1.0) * 100.0);
   }

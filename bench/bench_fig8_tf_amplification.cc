@@ -3,6 +3,7 @@
 // because only the evaluator function is patched).
 #include <iostream>
 
+#include "bench/run_configs.h"
 #include "src/sim/harness.h"
 #include "src/tensor/training.h"
 #include "src/util/cli.h"
@@ -43,10 +44,17 @@ int main(int argc, char** argv) {
                "(partial: only one function is patched; the im2col-like "
                "scratch stays unpatched).\n\n";
 
+  const uint32_t batches[] = {1, 8, 32, 96};
+  const auto amp = RunConfigs(4 * 2, [&](size_t i) {
+    return Amplification(batches[i / 2],
+                         i % 2 == 0 ? TensorWritePolicy::kBaseline
+                                    : TensorWritePolicy::kClean,
+                         steps);
+  });
+
   TextTable t({"batch", "amp_baseline", "amp_clean"});
-  for (const uint32_t batch : {1u, 8u, 32u, 96u}) {
-    t.AddRow(batch, Amplification(batch, TensorWritePolicy::kBaseline, steps),
-             Amplification(batch, TensorWritePolicy::kClean, steps));
+  for (size_t k = 0; k < 4; ++k) {
+    t.AddRow(batches[k], amp[2 * k], amp[2 * k + 1]);
   }
   t.Print(std::cout);
   return 0;

@@ -11,7 +11,13 @@ using namespace prestore;
 namespace {
 
 // Each fixture-less benchmark builds one small machine and reports the
-// simulated cycle cost per operation as the "sim_cycles" counter.
+// simulated cycle cost per operation as the "sim_cycles_per_op" counter.
+// The op count is fixed: the simulated cost per op depends on how many ops
+// ran (the cold-miss benches wrap their 16 MB buffer every 128-256K ops),
+// so an iteration count picked from host time would make the counter move
+// from run to run.
+constexpr benchmark::IterationCount kOps = 1 << 20;
+
 template <typename Fn>
 void RunSim(benchmark::State& state, const MachineConfig& cfg, Fn&& body) {
   MachineConfig machine_cfg = cfg;
@@ -37,21 +43,21 @@ void BM_L1HitLoad(benchmark::State& state) {
     benchmark::DoNotOptimize(core.LoadU64(buf));
   });
 }
-BENCHMARK(BM_L1HitLoad);
+BENCHMARK(BM_L1HitLoad)->Iterations(kOps);
 
 void BM_L1HitStore(benchmark::State& state) {
   RunSim(state, MachineA(), [](Core& core, SimAddr buf, uint64_t) {
     core.StoreU64(buf, 1);
   });
 }
-BENCHMARK(BM_L1HitStore);
+BENCHMARK(BM_L1HitStore)->Iterations(kOps);
 
 void BM_ColdStoreMiss(benchmark::State& state) {
   RunSim(state, MachineA(), [](Core& core, SimAddr buf, uint64_t ops) {
     core.StoreU64(buf + (ops * 64) % (16 << 20), ops);
   });
 }
-BENCHMARK(BM_ColdStoreMiss);
+BENCHMARK(BM_ColdStoreMiss)->Iterations(kOps);
 
 void BM_CleanIssueOnColdLines(benchmark::State& state) {
   // The §5 claim: issuing the clean itself is ~1 cycle (plus, here, the
@@ -62,7 +68,7 @@ void BM_CleanIssueOnColdLines(benchmark::State& state) {
     core.Prestore(line, 8, PrestoreOp::kClean);
   });
 }
-BENCHMARK(BM_CleanIssueOnColdLines);
+BENCHMARK(BM_CleanIssueOnColdLines)->Iterations(kOps);
 
 void BM_DemoteIssue(benchmark::State& state) {
   RunSim(state, MachineBFast(), [](Core& core, SimAddr buf, uint64_t ops) {
@@ -71,14 +77,14 @@ void BM_DemoteIssue(benchmark::State& state) {
     core.Prestore(line, 8, PrestoreOp::kDemote);
   });
 }
-BENCHMARK(BM_DemoteIssue);
+BENCHMARK(BM_DemoteIssue)->Iterations(kOps);
 
 void BM_FenceAfterQuiesce(benchmark::State& state) {
   RunSim(state, MachineA(), [](Core& core, SimAddr, uint64_t) {
     core.Fence();
   });
 }
-BENCHMARK(BM_FenceAfterQuiesce);
+BENCHMARK(BM_FenceAfterQuiesce)->Iterations(kOps);
 
 void BM_FenceAfterFarWrite(benchmark::State& state) {
   RunSim(state, MachineBSlow(), [](Core& core, SimAddr buf, uint64_t ops) {
@@ -86,7 +92,7 @@ void BM_FenceAfterFarWrite(benchmark::State& state) {
     core.Fence();  // the §4.2 publication stall
   });
 }
-BENCHMARK(BM_FenceAfterFarWrite);
+BENCHMARK(BM_FenceAfterFarWrite)->Iterations(kOps);
 
 void BM_CasHotLine(benchmark::State& state) {
   RunSim(state, MachineA(), [](Core& core, SimAddr buf, uint64_t ops) {
@@ -94,7 +100,7 @@ void BM_CasHotLine(benchmark::State& state) {
     core.CasU64(buf, expected, ops + 1);
   });
 }
-BENCHMARK(BM_CasHotLine);
+BENCHMARK(BM_CasHotLine)->Iterations(kOps);
 
 }  // namespace
 

@@ -6,7 +6,11 @@
 // detects the rewrite-after-clean storm online and suppresses the bad hints,
 // recovering most of the naive slowdown without source changes.
 #include <iostream>
+#include <memory>
+#include <optional>
+#include <string>
 
+#include "bench/run_configs.h"
 #include "src/nas/ft.h"
 #include "src/nas/nas_common.h"
 #include "src/robust/governor.h"
@@ -34,45 +38,52 @@ int main(int argc, char** argv) {
 
   std::cout << "=== §7.4.2: incorrect manual pre-store placements ===\n\n";
 
+  // FT, then IS; each a base run, the misplaced pre-store, and the same
+  // pre-store under the governor.
+  struct Run {
+    uint64_t cycles = 0;
+    std::string governor_summary;
+  };
+  const auto runs = RunConfigs(2 * 3, [](size_t i) {
+    Machine m(MachineA(1));
+    std::optional<PrestoreGovernor> governor;
+    if (i % 3 == 2) {
+      governor.emplace(m);
+      governor->Attach();
+    }
+    std::unique_ptr<NasKernel> kernel;
+    if (i < 3) {
+      kernel = std::make_unique<FtKernel>(
+          m, NasPrestore::kOff, 1,
+          i % 3 == 0 ? FtPatch::kNone : FtPatch::kFftz2Clean);
+    } else {
+      kernel = MakeNasKernel(
+          "is", m, i % 3 == 0 ? NasPrestore::kOff : NasPrestore::kOn);
+    }
+    Run run;
+    run.cycles = RunOnCore(m, [&](Core& c) { kernel->Run(c); });
+    if (governor) {
+      run.governor_summary = governor->Summary();
+    }
+    return run;
+  });
+
   TextTable t({"experiment", "base_cycles", "naive_cycles", "gov_cycles",
                "naive_ratio", "gov_ratio", "recovered_%", "paper"});
-  std::string ft_summary;
-  {
-    Machine m1(MachineA(1));
-    Machine m2(MachineA(1));
-    Machine m3(MachineA(1));
-    PrestoreGovernor governor(m3);
-    governor.Attach();
-    FtKernel base(m1, NasPrestore::kOff, 1, FtPatch::kNone);
-    FtKernel misuse(m2, NasPrestore::kOff, 1, FtPatch::kFftz2Clean);
-    FtKernel governed(m3, NasPrestore::kOff, 1, FtPatch::kFftz2Clean);
-    const uint64_t b = RunOnCore(m1, [&](Core& c) { base.Run(c); });
-    const uint64_t p = RunOnCore(m2, [&](Core& c) { misuse.Run(c); });
-    const uint64_t g = RunOnCore(m3, [&](Core& c) { governed.Run(c); });
-    t.AddRow("FT: clean in fftz2 (rewritten scratch)", b, p, g,
-             static_cast<double>(p) / b, static_cast<double>(g) / b,
-             RecoveredPct(b, p, g), "3x slowdown");
-    ft_summary = governor.Summary();
-  }
-  {
-    Machine m1(MachineA(1));
-    Machine m2(MachineA(1));
-    Machine m3(MachineA(1));
-    PrestoreGovernor governor(m3);
-    governor.Attach();
-    auto base = MakeNasKernel("is", m1, NasPrestore::kOff);
-    auto patched = MakeNasKernel("is", m2, NasPrestore::kOn);
-    auto governed = MakeNasKernel("is", m3, NasPrestore::kOn);
-    const uint64_t b = RunOnCore(m1, [&](Core& c) { base->Run(c); });
-    const uint64_t p = RunOnCore(m2, [&](Core& c) { patched->Run(c); });
-    const uint64_t g = RunOnCore(m3, [&](Core& c) { governed->Run(c); });
-    t.AddRow("IS: clean in rank (random scatter)", b, p, g,
-             static_cast<double>(p) / b, static_cast<double>(g) / b,
-             RecoveredPct(b, p, g), "no effect");
+  const char* const experiments[] = {"FT: clean in fftz2 (rewritten scratch)",
+                                     "IS: clean in rank (random scatter)"};
+  const char* const paper[] = {"3x slowdown", "no effect"};
+  for (size_t row = 0; row < 2; ++row) {
+    const uint64_t b = runs[3 * row].cycles;
+    const uint64_t p = runs[3 * row + 1].cycles;
+    const uint64_t g = runs[3 * row + 2].cycles;
+    t.AddRow(experiments[row], b, p, g, static_cast<double>(p) / b,
+             static_cast<double>(g) / b, RecoveredPct(b, p, g), paper[row]);
   }
   t.Print(std::cout);
 
-  std::cout << "\nGovernor decisions for the FT misuse run:\n" << ft_summary;
+  std::cout << "\nGovernor decisions for the FT misuse run:\n"
+            << runs[2].governor_summary;
   std::cout << "\nDirtBuster recommends neither placement: it sees the "
                "fftz2 scratch's short re-write distance and the rank "
                "scatter's lack of sequentiality (see "

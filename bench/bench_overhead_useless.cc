@@ -9,6 +9,7 @@
 #include <iostream>
 #include <optional>
 
+#include "bench/run_configs.h"
 #include "src/nas/nas_common.h"
 #include "src/robust/governor.h"
 #include "src/sim/harness.h"
@@ -74,34 +75,38 @@ int main(int argc, char** argv) {
                "(Machine B) ===\n"
             << "Paper: maximum overhead 0.3% across NAS and TensorFlow.\n\n";
 
+  // Five NAS rows, then TensorFlow; each row a base run, a run with the
+  // pre-stores, and a governed run with them.
+  const char* const kernels[] = {"mg", "ft", "sp", "bt", "ua"};
+  const auto cycles = RunConfigs(6 * 3, [&](size_t i) {
+    const size_t variant = i % 3;
+    if (i / 3 < 5) {
+      return RunNas(kernels[i / 3],
+                    variant == 0 ? NasPrestore::kOff : NasPrestore::kOn,
+                    /*governed=*/variant == 2);
+    }
+    return RunTf(variant == 0 ? TensorWritePolicy::kBaseline
+                              : TensorWritePolicy::kClean,
+                 /*governed=*/variant == 2);
+  });
+
   TextTable t({"workload", "base_cycles", "prestore_cycles", "gov_cycles",
                "overhead_%", "gov_overhead_%", "recovered_%"});
   uint64_t total_base = 0;
   uint64_t total_on = 0;
   uint64_t total_gov = 0;
-  for (const char* name : {"mg", "ft", "sp", "bt", "ua"}) {
-    const uint64_t base = RunNas(name, NasPrestore::kOff, false);
-    const uint64_t on = RunNas(name, NasPrestore::kOn, false);
-    const uint64_t gov = RunNas(name, NasPrestore::kOn, true);
+  for (size_t row = 0; row < 6; ++row) {
+    const uint64_t base = cycles[3 * row];
+    const uint64_t on = cycles[3 * row + 1];
+    const uint64_t gov = cycles[3 * row + 2];
     total_base += base;
     total_on += on;
     total_gov += gov;
-    t.AddRow(std::string("NAS ") + name, base, on, gov,
-             (static_cast<double>(on) / base - 1.0) * 100.0,
+    t.AddRow(row < 5 ? std::string("NAS ") + kernels[row]
+                     : std::string("TensorFlow (proxy)"),
+             base, on, gov, (static_cast<double>(on) / base - 1.0) * 100.0,
              (static_cast<double>(gov) / base - 1.0) * 100.0,
              RecoveredPct(base, on, gov));
-  }
-  {
-    const uint64_t base = RunTf(TensorWritePolicy::kBaseline, false);
-    const uint64_t clean = RunTf(TensorWritePolicy::kClean, false);
-    const uint64_t gov = RunTf(TensorWritePolicy::kClean, true);
-    total_base += base;
-    total_on += clean;
-    total_gov += gov;
-    t.AddRow("TensorFlow (proxy)", base, clean, gov,
-             (static_cast<double>(clean) / base - 1.0) * 100.0,
-             (static_cast<double>(gov) / base - 1.0) * 100.0,
-             RecoveredPct(base, clean, gov));
   }
   t.Print(std::cout);
   std::cout << "\nAggregate: governor recovers "

@@ -4,6 +4,7 @@
 #include <iostream>
 
 #include "bench/listings.h"
+#include "bench/run_configs.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 
@@ -16,8 +17,11 @@ int main(int argc, char** argv) {
   std::cout << "=== Listing 3 pitfall: cleaning a hot line (Machine A) ===\n"
             << "Paper: ~75x slowdown.\n\n";
 
-  const uint64_t base = RunListing3(MachineA(1), false, iters);
-  const uint64_t with_clean = RunListing3(MachineA(1), true, iters);
+  const auto cycles = RunConfigs(2, [&](size_t i) {
+    return RunListing3(MachineA(1), /*clean=*/i == 1, iters);
+  });
+  const uint64_t base = cycles[0];
+  const uint64_t with_clean = cycles[1];
 
   TextTable t({"variant", "cycles/iter", "slowdown"});
   t.AddRow("rewrite only", base / iters, 1.0);

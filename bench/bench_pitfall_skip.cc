@@ -4,6 +4,7 @@
 #include <iostream>
 #include <vector>
 
+#include "bench/run_configs.h"
 #include "src/sim/harness.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
@@ -48,15 +49,20 @@ int main(int argc, char** argv) {
             << "Paper: with the summation, skipping is 2x slower than "
                "cleaning (small elements); without it, skipping wins.\n\n";
 
+  // Rows (64B, 256B) x (re-read, none); each a clean run, then a skip run.
+  const uint32_t elts[] = {64, 256};
+  const auto cycles = RunConfigs(2 * 2 * 2, [&](size_t i) {
+    return RunVariant(elts[i / 4], /*skip=*/i % 2 == 1,
+                      /*reread=*/i / 2 % 2 == 0, iters);
+  });
+
   TextTable t({"elt_size", "reread", "clean_cycles", "skip_cycles",
                "skip/clean"});
-  for (const uint32_t elt : {64u, 256u}) {
-    for (const bool reread : {true, false}) {
-      const uint64_t clean = RunVariant(elt, false, reread, iters);
-      const uint64_t skip = RunVariant(elt, true, reread, iters);
-      t.AddRow(elt, reread ? "yes" : "no", clean, skip,
-               static_cast<double>(skip) / static_cast<double>(clean));
-    }
+  for (size_t row = 0; row < 4; ++row) {
+    const uint64_t clean = cycles[2 * row];
+    const uint64_t skip = cycles[2 * row + 1];
+    t.AddRow(elts[row / 2], row % 2 == 0 ? "yes" : "no", clean, skip,
+             static_cast<double>(skip) / static_cast<double>(clean));
   }
   t.Print(std::cout);
   return 0;

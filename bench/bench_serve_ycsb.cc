@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <iostream>
 
+#include "bench/run_configs.h"
 #include "src/robust/fault_injector.h"
 #include "src/serve/loadgen.h"
 #include "src/serve/server.h"
@@ -135,13 +136,14 @@ int main(int argc, char** argv) {
   const uint32_t ops = static_cast<uint32_t>(
       flags.GetInt("ops", flags.Has("smoke") ? 150 : 1200));
 
-  std::cout << "=== YCSB-A against the sharded KV server (§9) ===\n\n";
-  {
-    TextTable t({"config", "ops", "write_amp", "get_p50", "get_p99",
-                 "get_p99.9", "put_p99", "put_p99.9", "batch_fill",
-                 "ops/Mcycle"});
-    auto row = [&](const char* name, bool batched_clean, bool governed) {
-      Machine machine = HealthyMachine();
+  // The three healthy-server configs (baseline, batched clean, governed
+  // batched clean), then the same three as a misused sweep under
+  // latency-spike faults.
+  const auto results = RunConfigs(6, [&](size_t i) {
+    Machine machine = HealthyMachine();
+    const bool batched_clean = i % 3 != 0;
+    const bool governed = i % 3 == 2;
+    if (i < 3) {
       ServeConfig cfg = HealthyConfig(ops);
       cfg.batched_clean = batched_clean;
       cfg.governed = governed;
@@ -155,15 +157,36 @@ int main(int argc, char** argv) {
       server.SetWorkload(cfg.ycsb.workload, warmup);
       ServeYcsb(machine, server);
       server.SetWorkload(cfg.ycsb.workload, ops);
-      const ServeResult r = ServeYcsb(machine, server);
-      t.AddRow(name, r.ops, r.write_amplification, r.get_latency.p50,
+      return ServeYcsb(machine, server);
+    }
+    ServeConfig cfg = MisuseConfig();
+    cfg.ycsb.ops_per_thread = std::min(cfg.ycsb.ops_per_thread, ops * 2);
+    cfg.batched_clean = batched_clean;
+    cfg.governed = governed;
+    if (governed) {
+      cfg.governor = ServeGovernor();
+    }
+    KvServer server(machine, cfg);
+    FaultInjector injector(SpikePlan());
+    injector.Attach(machine);
+    return ServeYcsb(machine, server);
+  });
+
+  std::cout << "=== YCSB-A against the sharded KV server (§9) ===\n\n";
+  {
+    TextTable t({"config", "ops", "write_amp", "get_p50", "get_p99",
+                 "get_p99.9", "put_p99", "put_p99.9", "batch_fill",
+                 "ops/Mcycle"});
+    const char* const names[] = {"baseline (no sweep)", "batched-clean",
+                                 "batched-clean governed"};
+    for (size_t k = 0; k < 3; ++k) {
+      const ServeResult& r = results[k];
+      t.AddRow(names[k], r.ops, r.write_amplification, r.get_latency.p50,
                r.get_latency.p99, r.get_latency.p999, r.put_latency.p99,
                r.put_latency.p999, r.BatchFill(), r.ThroughputPerMcycle());
-      return r;
-    };
-    const ServeResult base = row("baseline (no sweep)", false, false);
-    const ServeResult clean = row("batched-clean", true, false);
-    row("batched-clean governed", true, true);
+    }
+    const ServeResult& base = results[0];
+    const ServeResult& clean = results[1];
     t.Print(std::cout);
     std::cout << "\nbatched-clean vs baseline: "
               << (base.write_amplification / clean.write_amplification - 1) *
@@ -180,23 +203,9 @@ int main(int argc, char** argv) {
   {
     TextTable t({"config", "cycles", "write_amp", "put_p99", "backoffs",
                  "suppressed", "recovered_%"});
-    auto run = [&](bool batched_clean, bool governed) {
-      Machine machine = HealthyMachine();
-      ServeConfig cfg = MisuseConfig();
-      cfg.ycsb.ops_per_thread = std::min(cfg.ycsb.ops_per_thread, ops * 2);
-      cfg.batched_clean = batched_clean;
-      cfg.governed = governed;
-      if (governed) {
-        cfg.governor = ServeGovernor();
-      }
-      KvServer server(machine, cfg);
-      FaultInjector injector(SpikePlan());
-      injector.Attach(machine);
-      return ServeYcsb(machine, server);
-    };
-    const ServeResult base = run(false, false);
-    const ServeResult naive = run(true, false);
-    const ServeResult governed = run(true, true);
+    const ServeResult& base = results[3];
+    const ServeResult& naive = results[4];
+    const ServeResult& governed = results[5];
     uint64_t backoffs = 0;
     uint64_t suppressed = 0;
     for (const ShardPolicy& p : governed.shard_policies) {

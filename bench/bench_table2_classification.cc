@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/run_configs.h"
 #include "src/dirtbuster/dirtbuster.h"
 #include "src/kv/clht.h"
 #include "src/kv/ycsb.h"
@@ -35,23 +36,25 @@ int main() {
             << "(pytorch/numpy/lzma/c-ray/gzip rows are represented by the "
                "read-mostly proxies; see DESIGN.md substitutions)\n\n";
 
-  std::vector<Row> rows;
+  // Each job builds its own machine and returns its rows, in table order.
+  std::vector<std::function<std::vector<Row>()>> jobs;
 
   // Read-mostly proxies (the Table 2 'x' rows).
-  {
+  jobs.push_back([] {
+    std::vector<Row> rows;
     Machine m(MachineA(1));
     for (auto& proxy : MakeAllProxies(m)) {
       DirtBuster db(m);
       rows.push_back(
           {proxy->name(), db.Analyze([&] { proxy->Run(m.core(0)); })});
     }
-  }
+    return rows;
+  });
 
   // TensorFlow proxy — sized so that the small (240B) bias/temp tensors
   // carry a significant share of the evaluator's writes, as in the paper's
   // report (60% of the templated function's writes).
-  DirtBusterReport tf_report;
-  {
+  jobs.push_back([] {
     Machine m(MachineA(1));
     TrainingConfig cfg;
     cfg.batch_size = 2;
@@ -59,28 +62,28 @@ int main() {
     cfg.small_tensors_per_layer = 96;
     CnnTrainingProxy proxy(m, cfg);
     DirtBuster db(m);
-    tf_report = db.Analyze([&] { proxy.Step(m.core(0)); });
-    rows.push_back({"TensorFlow (proxy)", tf_report});
-  }
+    return std::vector<Row>{
+        {"TensorFlow (proxy)", db.Analyze([&] { proxy.Step(m.core(0)); })}};
+  });
 
   // X9.
-  {
+  jobs.push_back([] {
     Machine m(MachineBFast(1));
     X9Inbox inbox(m, 64, 512);
     DirtBuster db(m);
-    rows.push_back({"X9", db.Analyze([&] {
-                      Core& core = m.core(0);
-                      char drain[512];
-                      for (int i = 0; i < 3000; ++i) {
-                        (void)inbox.TryWriteStamped(core, i,
-                                                    MsgPrestore::kOff);
-                        (void)inbox.TryRead(core, drain);
-                      }
-                    })});
-  }
+    return std::vector<Row>{{"X9", db.Analyze([&] {
+                               Core& core = m.core(0);
+                               char drain[512];
+                               for (int i = 0; i < 3000; ++i) {
+                                 (void)inbox.TryWriteStamped(
+                                     core, i, MsgPrestore::kOff);
+                                 (void)inbox.TryRead(core, drain);
+                               }
+                             })}};
+  });
 
   // KV store (CLHT index; Masstree exercises the same craft/lock pattern).
-  {
+  jobs.push_back([] {
     Machine m(MachineA(2));
     ClhtMap store(m, 8192);
     YcsbConfig cfg;
@@ -90,22 +93,38 @@ int main() {
     cfg.ops_per_thread = 500;
     YcsbLoad(m, store, cfg);
     DirtBuster db(m);
-    rows.push_back(
-        {"KV store (CLHT, YCSB A)", db.Analyze([&] { YcsbRun(m, store, cfg); })});
-  }
+    return std::vector<Row>{{"KV store (CLHT, YCSB A)",
+                             db.Analyze([&] { YcsbRun(m, store, cfg); })}};
+  });
 
   // NAS kernels.
-  DirtBusterReport mg_report;
   for (const std::string& name : NasKernelNames()) {
-    Machine m(MachineA(1));
-    auto kernel = MakeNasKernel(name, m, NasPrestore::kOff);
-    DirtBuster db(m);
-    auto report = db.Analyze([&] { kernel->Run(m.core(0)); });
-    if (name == "mg") {
-      mg_report = report;
-    }
-    rows.push_back({"NAS " + name, std::move(report)});
+    jobs.push_back([&name] {
+      Machine m(MachineA(1));
+      auto kernel = MakeNasKernel(name, m, NasPrestore::kOff);
+      DirtBuster db(m);
+      return std::vector<Row>{
+          {"NAS " + name, db.Analyze([&] { kernel->Run(m.core(0)); })}};
+    });
   }
+
+  std::vector<Row> rows;
+  for (std::vector<Row>& job_rows :
+       RunConfigs(jobs.size(), [&](size_t i) { return jobs[i](); })) {
+    for (Row& row : job_rows) {
+      rows.push_back(std::move(row));
+    }
+  }
+  const auto report_of = [&](const std::string& name) {
+    for (const Row& row : rows) {
+      if (row.name == name) {
+        return row.report;
+      }
+    }
+    return DirtBusterReport{};
+  };
+  const DirtBusterReport tf_report = report_of("TensorFlow (proxy)");
+  const DirtBusterReport mg_report = report_of("NAS mg");
 
   TextTable t({"Application", "Write-Intensive", "Sequential writes",
                "Writes before fence", "Advice"});

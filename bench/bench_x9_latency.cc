@@ -4,6 +4,7 @@
 // (the CAS no longer waits for the private message stores to publish).
 #include <iostream>
 
+#include "bench/run_configs.h"
 #include "src/msg/x9.h"
 #include "src/sim/harness.h"
 #include "src/util/cli.h"
@@ -61,18 +62,20 @@ int main(int argc, char** argv) {
             << "Producer cycles per message (lower is better). Paper: "
                "demote cuts latency 62% (B-fast) / 40% (B-slow).\n\n";
 
+  // Rows B-fast, B-slow; each a baseline run, then a demote run.
+  const auto cycles = RunConfigs(4, [&](size_t i) {
+    return ProducerCyclesPerSend(i < 2 ? MachineBFast() : MachineBSlow(),
+                                 msg_size,
+                                 i % 2 == 0 ? MsgPrestore::kOff
+                                            : MsgPrestore::kDemote,
+                                 messages);
+  });
+
   TextTable t({"machine", "baseline", "demote", "reduction_%"});
-  struct Config {
-    const char* name;
-    MachineConfig cfg;
-  };
-  for (auto& [name, cfg] : {Config{"B-fast", MachineBFast()},
-                            Config{"B-slow", MachineBSlow()}}) {
-    const uint64_t base =
-        ProducerCyclesPerSend(cfg, msg_size, MsgPrestore::kOff, messages);
-    const uint64_t demote =
-        ProducerCyclesPerSend(cfg, msg_size, MsgPrestore::kDemote, messages);
-    t.AddRow(name, base, demote,
+  for (size_t k = 0; k < 2; ++k) {
+    const uint64_t base = cycles[2 * k];
+    const uint64_t demote = cycles[2 * k + 1];
+    t.AddRow(k == 0 ? "B-fast" : "B-slow", base, demote,
              (1.0 - static_cast<double>(demote) / base) * 100.0);
   }
   t.Print(std::cout);

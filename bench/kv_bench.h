@@ -13,6 +13,10 @@ namespace prestore {
 
 enum class KvStoreKind { kClht, kMasstree };
 
+// The Machine A policies of Figs 10-12, in their table's column order.
+inline constexpr KvWritePolicy kKvPolicies[] = {
+    KvWritePolicy::kBaseline, KvWritePolicy::kClean, KvWritePolicy::kSkip};
+
 // Machine-A calibration for the KV figures (see EXPERIMENTS.md): the paper
 // drives the PMEM to saturation with 10 application threads; the simulated
 // cores issue traffic at a different rate, so the media bandwidth and the

@@ -20,7 +20,8 @@ ClhtMap::ClhtMap(Machine& machine, uint64_t num_buckets)
       num_buckets_(num_buckets),
       put_func_{machine.registry().Intern("clht_put", "clht.c:321")},
       get_func_{machine.registry().Intern("clht_get", "clht.c:260")} {
-  // Backing memory is zero-initialized: all keys empty, locks free.
+  // Fresh machine memory reads as zero (demand-zero regions): all keys
+  // empty, locks free.
 }
 
 SimAddr ClhtMap::BucketFor(uint64_t key) const {

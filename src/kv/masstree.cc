@@ -19,7 +19,8 @@ Masstree::Masstree(Machine& machine)
 SimAddr Masstree::NewNode(Core& core, bool leaf) {
   const SimAddr node =
       machine_.Alloc(kNodeBytes, Region::kTarget, kNodeBytes);
-  // Backing memory is zeroed; only the meta word needs an explicit write.
+  // Fresh machine memory reads as zero (demand-zero regions); only the
+  // meta word needs an explicit write.
   SetMeta(core, node, 0, leaf);
   return node;
 }

@@ -2,7 +2,6 @@
 
 #include <new>
 
-#include "src/util/hugepage.h"
 #include "src/util/rng.h"
 
 namespace prestore {
@@ -29,7 +28,7 @@ SetAssocCache::SetAssocCache(const CacheConfig& config, uint64_t seed)
   set_mask_ = IsPow2(num_sets_) ? num_sets_ - 1 : 0;
   set_mod_ = ModReciprocal(num_sets_);
   // One contiguous SetBlock per set (layout constants validated against
-  // kSetBlockMaxBytes above). Chunk{} zero-fills, which already
+  // kSetBlockMaxBytes above). The region reads as zero, which already
   // initializes the packed age bytes.
   way_mod_.reserve(config_.ways + 1);
   for (uint64_t n = 0; n <= config_.ways; ++n) {
@@ -38,12 +37,11 @@ SetAssocCache::SetAssocCache(const CacheConfig& config, uint64_t seed)
   ages_offset_ = kSetBlockScalarBytes + kSetBlockTagBytes * config_.ways;
   meta_offset_ = SetBlockHeaderBytes(config_.ways);
   block_bytes_ = SetBlockBytes(config_.ways);
-  // Advise huge pages before the fill below touches anything, so a large
-  // cache's blocks fault in as 2 MiB pages (random set indexing on 4 KiB
-  // pages pays a page walk per simulated access).
-  blocks_.reserve(num_sets_ * block_bytes_ / kSetBlockAlign);
-  AdviseHugePages(blocks_.data(), blocks_.capacity() * sizeof(Chunk));
-  blocks_.assign(num_sets_ * block_bytes_ / kSetBlockAlign, Chunk{});
+  // A HostRegion is advised huge pages before anything touches it, so a
+  // large cache's blocks fault in as 2 MiB pages (random set indexing on
+  // 4 KiB pages pays a page walk per simulated access).
+  color_ = seed % 64 * kSetBlockAlign;
+  blocks_ = HostRegion(color_ + num_sets_ * block_bytes_);
   for (uint64_t set = 0; set < num_sets_; ++set) {
     unsigned char* blk = Block(set);
     new (blk) SetScalars{};

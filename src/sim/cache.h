@@ -26,6 +26,7 @@
 
 #include "src/sim/config.h"
 #include "src/util/fastdiv.h"
+#include "src/util/host_region.h"
 
 namespace prestore {
 
@@ -212,20 +213,13 @@ class SetAssocCache {
   static_assert(sizeof(SetScalars) == kSetBlockScalarBytes,
                 "SetScalars size drifted from kSetBlockScalarBytes");
 
-  // 64-byte chunks give the vector's buffer the block alignment; all block
-  // offsets are multiples of kSetBlockAlign so per-set pointers stay
-  // aligned too.
-  struct alignas(kSetBlockAlign) Chunk {
-    unsigned char bytes[kSetBlockAlign];
-  };
-
-  // Block accessors. The vector never reallocates after construction, and
-  // a moved-from vector hands its buffer over, so recomputing from data()
-  // is always correct (and free: one load).
+  // Block accessors. The region never moves after construction, and a
+  // moved-from region hands its mapping over, so recomputing from data()
+  // is always correct (and free: one load). The mapping is 2 MiB-aligned
+  // and every block offset is a multiple of kSetBlockAlign, so per-set
+  // pointers stay aligned.
   unsigned char* Block(uint64_t set) const {
-    auto* base =
-        reinterpret_cast<unsigned char*>(const_cast<Chunk*>(blocks_.data()));
-    return base + set * block_bytes_;
+    return blocks_.data() + color_ + set * block_bytes_;
   }
   static SetScalars& ScalarsIn(unsigned char* blk) {
     return *reinterpret_cast<SetScalars*>(blk);
@@ -422,8 +416,18 @@ class SetAssocCache {
   uint64_t ages_offset_ = 0;
   uint64_t meta_offset_ = 0;
   uint64_t block_bytes_ = 0;
-  // num_sets_ * block_bytes_ bytes of set blocks, in set order.
-  std::vector<Chunk> blocks_;
+  // Where the first block starts in its page: a multiple of kSetBlockAlign
+  // drawn from the seed. An L1 is 24 KiB, a page multiple, so without it
+  // set s of every core's L1 would sit at one page offset, and the
+  // coherence code's back-to-back accesses to two cores' blocks for one
+  // line would alias in the host's store-to-load disambiguation (DESIGN.md
+  // §10). Host layout only.
+  uint64_t color_ = 0;
+  // num_sets_ * block_bytes_ bytes of set blocks, in set order. Mapped,
+  // not heap-allocated: a machine's caches are freed and rebuilt with each
+  // machine, and heap blocks of this size fragmented the heap by one LLC's
+  // worth per machine built.
+  HostRegion blocks_;
 };
 
 }  // namespace prestore

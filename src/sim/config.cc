@@ -85,6 +85,14 @@ void MachineConfig::Validate() const {
                            ") must equal line_size " +
                            std::to_string(line_size));
   }
+  if (dram_region_bytes > kTargetBase - kDramBase) {
+    // A DRAM address at or past kTargetBase would be routed to the target
+    // region's backing and device.
+    Invalid("machine", "dram_region_bytes " +
+                           std::to_string(dram_region_bytes) +
+                           " overlaps the target region (at most " +
+                           std::to_string(kTargetBase - kDramBase) + ")");
+  }
 }
 
 MachineConfig MachineA(uint32_t num_cores) {

@@ -137,6 +137,12 @@ enum class StoreDrainPolicy : uint8_t {
 // owner", so a machine has at most 64 cores.
 inline constexpr uint32_t kMaxCores = 64;
 
+// Simulated base addresses of the two regions (src/sim/machine.h). Every
+// address at or above kTargetBase belongs to the target region, so the
+// DRAM region must end below it.
+inline constexpr uint64_t kDramBase = 0x10000;
+inline constexpr uint64_t kTargetBase = 1ULL << 32;
+
 struct MachineConfig {
   std::string name = "machine";
   uint32_t num_cores = 4;
@@ -163,8 +169,9 @@ struct MachineConfig {
 
   // Throws std::invalid_argument if the machine cannot be modelled:
   // num_cores must be in [1, kMaxCores], both cache geometries must pass
-  // CacheConfig::Validate, and their line sizes must equal line_size. Every
-  // Machine runs it at construction, in every build type.
+  // CacheConfig::Validate, their line sizes must equal line_size, and
+  // dram_region_bytes must fit below kTargetBase. Every Machine runs it at
+  // construction, in every build type.
   void Validate() const;
 };
 

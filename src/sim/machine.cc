@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-
-#include "src/util/hugepage.h"
+#include <stdexcept>
+#include <string>
 
 namespace prestore {
 
@@ -21,16 +21,9 @@ Machine::Machine(const MachineConfig& config)
     : config_(Validated(config)),
       dram_(MakeDevice(config.dram)),
       target_(MakeDevice(config.target)),
-      llc_(std::make_unique<SetAssocCache>(config.llc, config.seed ^ 0x11c)) {
-  // Advise huge pages before the zero-fill touches the backing stores:
-  // replay traces stride randomly through both regions, and on 4 KiB
-  // pages nearly every host data access would pay a page walk.
-  dram_backing_.reserve(config_.dram_region_bytes);
-  AdviseHugePages(dram_backing_.data(), dram_backing_.capacity());
-  dram_backing_.resize(config_.dram_region_bytes);
-  target_backing_.reserve(config_.target_region_bytes);
-  AdviseHugePages(target_backing_.data(), target_backing_.capacity());
-  target_backing_.resize(config_.target_region_bytes);
+      llc_(std::make_unique<SetAssocCache>(config.llc, config.seed ^ 0x11c)),
+      dram_backing_(config_.dram_region_bytes),
+      target_backing_(config_.target_region_bytes) {
   cores_.reserve(config_.num_cores);
   for (uint32_t i = 0; i < config_.num_cores; ++i) {
     cores_.push_back(
@@ -50,11 +43,18 @@ SimAddr Machine::Alloc(uint64_t bytes, Region region, uint64_t align) {
   if (align == 0) {
     align = config_.line_size;
   }
+  if ((align & (align - 1)) != 0) {
+    throw std::invalid_argument("Machine::Alloc: align must be a power of two, "
+                                "got " + std::to_string(align));
+  }
   uint64_t& brk = region == Region::kTarget ? target_brk_ : dram_brk_;
   const uint64_t limit = region == Region::kTarget ? target_backing_.size()
                                                    : dram_backing_.size();
+  // The round-up cannot wrap (brk <= limit, a host mapping's size, and
+  // align <= 2^63); comparing `bytes` with the space left keeps a huge
+  // request from wrapping `start + bytes` past the check.
   const uint64_t start = (brk + align - 1) & ~(align - 1);
-  if (start + bytes > limit) {
+  if (start > limit || bytes > limit - start) {
     std::fprintf(stderr, "simulated %s region exhausted (%llu + %llu > %llu)\n",
                  region == Region::kTarget ? "target" : "dram",
                  static_cast<unsigned long long>(start),

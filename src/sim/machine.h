@@ -13,6 +13,7 @@
 #include "src/sim/device.h"
 #include "src/sim/hooks.h"
 #include "src/trace/trace.h"
+#include "src/util/host_region.h"
 
 namespace prestore {
 
@@ -23,9 +24,6 @@ enum class Region : uint8_t {
   kDram,
   kTarget,
 };
-
-inline constexpr SimAddr kDramBase = 0x10000;
-inline constexpr SimAddr kTargetBase = 1ULL << 32;
 
 // Shared-hierarchy event counters (Machine::hierarchy_stats()).
 struct MachineStats {
@@ -62,6 +60,8 @@ class Machine {
 
   // Bump-allocates `bytes` in the given region, aligned to `align` (default:
   // one cache line, to keep separately allocated objects conflict-free).
+  // Fresh memory reads as zero. Throws std::invalid_argument when `align`
+  // is not a power of two; aborts when the region is exhausted.
   SimAddr Alloc(uint64_t bytes, Region region = Region::kTarget,
                 uint64_t align = 0);
 
@@ -260,8 +260,10 @@ class Machine {
 
   std::vector<std::unique_ptr<Core>> cores_;
 
-  std::vector<uint8_t> dram_backing_;
-  std::vector<uint8_t> target_backing_;
+  // Demand-zero: a region's host pages are faulted in as the workload
+  // first touches them, never filled up front.
+  HostRegion dram_backing_;
+  HostRegion target_backing_;
   uint64_t dram_brk_ = 0;
   uint64_t target_brk_ = 0;
 

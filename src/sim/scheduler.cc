@@ -18,6 +18,7 @@
 #endif
 #endif
 #ifdef PRESTORE_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -79,6 +80,12 @@ struct SimScheduler::Fiber {
   char* stack() const { return static_cast<char*>(mapping) + kGuardBytes; }
   ~Fiber() {
     if (mapping != nullptr) {
+#ifdef PRESTORE_ASAN_FIBERS
+      // A finished fiber never returns from its last frames, so ASan's
+      // poison on their redzones outlives the stack. Clear it, or the next
+      // mapping at this address (a machine's HostRegion) inherits it.
+      __asan_unpoison_memory_region(stack(), kStackBytes);
+#endif
       munmap(mapping, kGuardBytes + kStackBytes);
     }
   }

@@ -257,5 +257,23 @@ TEST(MachineConfigValidate, RejectsLlcLineSizeMismatch) {
   EXPECT_THROW(m.Validate(), std::invalid_argument);
 }
 
+// Addresses at or above kTargetBase are routed to the target region, so a
+// DRAM region reaching it would hand out addresses that alias the target.
+TEST(MachineConfigValidate, RejectsDramRegionReachingTargetBase) {
+  MachineConfig m = MachineA(1);
+  m.dram_region_bytes = kTargetBase - kDramBase;
+  EXPECT_NO_THROW(m.Validate());
+  m.dram_region_bytes = kTargetBase - kDramBase + 1;
+  try {
+    m.Validate();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("dram_region_bytes"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(Machine machine(m), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace prestore

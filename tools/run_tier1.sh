@@ -39,14 +39,17 @@ run_pass() {
 # Determinism gate: every simulated run is a pure function of its inputs
 # (one fiber scheduler, DESIGN.md §12), so two runs of a bench must print
 # byte-identical output. Covers the thread- and lock-sensitive figures
-# (Fig 3's thread sweep, Fig 13's CAS publication), X9 messaging and the
-# open-loop serving path.
+# (Fig 3's thread sweep, Fig 13's CAS publication), X9 messaging, the
+# open-loop serving path, and the sub-second Listing 2/3 and ablation
+# benches.
 determinism_gate() {
   local build_dir="$1"
   local bench first second
   local -a cmd
   for bench in "bench_fig13_clht_machineB" "bench_fig3_listing1 --iters=1000" \
-      "bench_x9_latency" "bench_serve_ycsb"; do
+      "bench_x9_latency" "bench_serve_ycsb" "bench_fig5_listing2" \
+      "bench_pitfall_listing3" "bench_pitfall_skip" "bench_ablation_drain" \
+      "bench_ablation_replacement" "bench_ablation_bandwidth"; do
     echo "==> determinism gate: ${bench} (${build_dir})"
     read -r -a cmd <<< "${bench}"
     first=$("./${build_dir}/bench/${cmd[0]}" "${cmd[@]:1}")
@@ -59,8 +62,26 @@ determinism_gate() {
   done
 }
 
+# Parallel-equals-sequential gate: the grid benches run their independent
+# configurations on one host thread per CPU of the affinity mask
+# (bench/run_configs.h). Pinned to one CPU they run one after another on
+# the main thread; both runs must print the same bytes.
+parallel_gate() {
+  local build_dir="$1"
+  local pinned unpinned
+  echo "==> parallel-equals-sequential gate: bench_fig3_listing1 (${build_dir})"
+  pinned=$(taskset -c 0 "./${build_dir}/bench/bench_fig3_listing1" --iters=1000)
+  unpinned=$("./${build_dir}/bench/bench_fig3_listing1" --iters=1000)
+  if [[ "${pinned}" != "${unpinned}" ]]; then
+    echo "bench_fig3_listing1: pinned and unpinned runs differ" >&2
+    diff <(echo "${pinned}") <(echo "${unpinned}") >&2 || true
+    exit 1
+  fi
+}
+
 run_pass build
 determinism_gate build
+parallel_gate build
 
 # Serve end-to-end gate: the ctest pass above already runs serve_test,
 # serve_fault_test, and ycsb_config_test (registered in tests/CMakeLists.txt);
@@ -160,6 +181,7 @@ if [[ "${FAST}" == "0" ]]; then
     -DPRESTORE_SANITIZE=address,undefined \
     -DPRESTORE_CHECK_INVARIANTS=ON
   determinism_gate build-sanitize
+  parallel_gate build-sanitize
   echo "==> cluster failover smoke (sanitized build)"
   ./build-sanitize/bench/bench_serve_cluster --smoke \
     --out=build-sanitize/BENCH_serve_cluster_smoke.json >/dev/null
