@@ -56,9 +56,8 @@ MonitorConfig BenchMonitorConfig() {
 
 GovernorConfig MonitoredGovernorConfig() {
   GovernorConfig cfg;
-  cfg.policy = GovernorPolicy::kMonitored;
   // Same shortened global window as bench_overhead_useless: the global
-  // useless-overhead gate applies in both governor modes.
+  // useless-overhead gate applies with and without a region advisor.
   cfg.global_eval_window = 128;
   return cfg;
 }

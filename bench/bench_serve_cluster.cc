@@ -60,7 +60,6 @@ ServeConfig ClusterConfig(uint32_t ops_per_client, uint32_t clients) {
   // node's share mid-run, so steady-state utilization must leave headroom.
   cfg.open_loop_interval = 80000;
   cfg.max_inflight = 1;  // one request outstanding per client
-  cfg.response_slots = 16;
   cfg.logical_clients = clients;
   cfg.cluster_nodes = 3;
   cfg.replication_factor = 3;
@@ -117,7 +116,7 @@ RunOutput RunOnce(const ServeConfig& cfg, uint32_t victim,
   // Failure phase: from the kill until every client has had time to mark
   // the dead node unhealthy and ride out one full backoff cap; after that
   // the detour cost is paid and throughput must be back.
-  const uint64_t detect = 8 * cfg.failover_backoff_cap_cycles;
+  const uint64_t detect = 8 * kFailoverBackoffCapCycles;
   options.phase_marks = {out.kill_cycle, out.kill_cycle + detect};
   options.record_outcomes = record_outcomes;
   out.result = RunClusterYcsb(cluster, options);
@@ -312,7 +311,7 @@ int main(int argc, char** argv) {
         static_cast<double>(cfg.max_attempts) *
             (2.0 * static_cast<double>(cfg.net_latency_cycles) *
                  cfg.replication_factor +
-             static_cast<double>(cfg.failover_backoff_cap_cycles));
+             static_cast<double>(kFailoverBackoffCapCycles));
     const double worst_steady =
         std::max(steady.get_latency.p99, steady.put_latency.p99);
     const double worst_failure =

@@ -57,7 +57,6 @@ ServeConfig HealthyConfig(uint32_t ops_per_client) {
   cfg.open_loop = true;
   cfg.open_loop_interval = 80000;
   cfg.max_inflight = 8;
-  cfg.response_slots = 16;
   cfg.settle_cycles = cfg.open_loop_interval * ops_per_client / 4;
   return cfg;
 }

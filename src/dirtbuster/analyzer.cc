@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/sim/config.h"
+
 namespace prestore {
 
-PatternAnalyzer::PatternAnalyzer(AnalyzerConfig config,
+PatternAnalyzer::PatternAnalyzer(uint64_t line_size,
                                  std::set<uint32_t> selected_funcs)
-    : config_(config),
+    : line_size_(line_size),
       selected_(std::move(selected_funcs)),
-      per_core_(config.max_cores) {}
+      per_core_(kMaxCores) {}
 
 void PatternAnalyzer::Record(const TraceRecord& rec) {
   PerCore& pc = per_core_[rec.core_id];
@@ -41,7 +43,7 @@ void PatternAnalyzer::OnStore(PerCore& pc, const TraceRecord& rec) {
   // slack after) the context's current end.
   uint32_t ctx_index = 0xffffffff;
   bool continues = false;
-  for (uint64_t back = 0; back <= config_.seq_adjacency_slack; back += 8) {
+  for (uint64_t back = 0; back <= kSeqAdjacencySlack; back += 8) {
     if (rec.addr < back) {
       break;
     }
@@ -49,7 +51,7 @@ void PatternAnalyzer::OnStore(PerCore& pc, const TraceRecord& rec) {
     if (it != pc.by_end.end() &&
         pc.contexts[it->second].func_id == rec.func_id &&
         rec.icount - pc.contexts[it->second].last_write_icount <=
-            config_.seq_staleness_instructions) {
+            kSeqStalenessInstructions) {
       ctx_index = it->second;
       pc.by_end.erase(it);
       continues = true;
@@ -75,7 +77,7 @@ void PatternAnalyzer::OnStore(PerCore& pc, const TraceRecord& rec) {
   }
 
   // --- Re-write distance (§6.2.3) ---
-  const uint64_t line = rec.addr & ~(config_.line_size - 1);
+  const uint64_t line = rec.addr & ~(line_size_ - 1);
   LineInfo& li = pc.lines[line];
   if (li.written && !continues) {
     // Only a write that breaks a sequential streak counts as a re-write
@@ -90,7 +92,7 @@ void PatternAnalyzer::OnStore(PerCore& pc, const TraceRecord& rec) {
   li.ctx_index = ctx_index;
 
   // --- Writes-before-fence tracking (§6.2.2) ---
-  if (pc.pending.size() < config_.max_pending_stores) {
+  if (pc.pending.size() < kMaxPendingStores) {
     pc.pending.push_back(PendingStore{rec.icount, rec.func_id});
   } else {
     ++pc.dropped_pending;
@@ -100,7 +102,7 @@ void PatternAnalyzer::OnStore(PerCore& pc, const TraceRecord& rec) {
 void PatternAnalyzer::OnLoad(PerCore& pc, const TraceRecord& rec) {
   // Loads matter only for re-read distances of lines previously written by a
   // selected function.
-  const uint64_t line = rec.addr & ~(config_.line_size - 1);
+  const uint64_t line = rec.addr & ~(line_size_ - 1);
   LineInfo* li = pc.lines.Find(line);
   if (li == nullptr || !li->written) {
     return;
@@ -116,7 +118,7 @@ void PatternAnalyzer::OnFence(PerCore& pc, const TraceRecord& rec) {
   for (const PendingStore& ps : pc.pending) {
     const uint64_t d = rec.icount - ps.icount;
     pc.fence_dist[ps.func_id].Add(static_cast<double>(d));
-    if (d <= config_.fence_near_instructions) {
+    if (d <= kFenceNearInstructions) {
       pc.fence_near_writes[ps.func_id] += 1;
     }
     auto [it, inserted] = pc.min_fence_dist.try_emplace(ps.func_id, d);
@@ -157,7 +159,7 @@ std::vector<FunctionAnalysis> PatternAnalyzer::Finalize() {
     for (const Context& ctx : pc.contexts) {
       FuncAccum& fa = funcs[ctx.func_id];
       const uint64_t bytes = ctx.end - ctx.start;
-      if (ctx.writes >= config_.min_seq_context_writes) {
+      if (ctx.writes >= kMinSeqContextWrites) {
         fa.seq_writes += ctx.writes;
       }
       const int bucket = bytes == 0 ? 0 : 64 - __builtin_clzll(bytes);

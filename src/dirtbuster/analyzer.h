@@ -19,26 +19,6 @@
 
 namespace prestore {
 
-struct AnalyzerConfig {
-  uint64_t line_size = 64;
-  uint32_t max_cores = 64;
-  // A new write continues a sequentiality context if it starts within this
-  // many bytes after the context's current end...
-  uint64_t seq_adjacency_slack = 64;
-  // ...and within this many instructions of the context's previous write.
-  // Address-adjacent writes that are far apart in time (e.g. bucket-sort
-  // scatters) are NOT sequential for the cache: the line is long evicted.
-  uint64_t seq_staleness_instructions = 10000;
-  // A context counts as sequential only with at least this many adjacent
-  // writes: pairs occur by chance in random scatters.
-  uint64_t min_seq_context_writes = 4;
-  // Stores with a fence within this many instructions count as
-  // "written before a fence".
-  uint64_t fence_near_instructions = 4096;
-  // Cap on pending (store -> next fence) tracking per core.
-  size_t max_pending_stores = 65536;
-};
-
 // Aggregated view of one group of similarly-sized sequential contexts.
 struct SizeClassReport {
   uint64_t representative_bytes = 0;  // mean context size in this class
@@ -61,7 +41,7 @@ struct FunctionAnalysis {
   double seq_write_fraction = 0.0;
   std::vector<SizeClassReport> classes;  // descending write share
   // Fraction of writes followed by a fence/atomic within
-  // fence_near_instructions, and the mean distance to it.
+  // PatternAnalyzer::kFenceNearInstructions, and the mean distance to it.
   double writes_before_fence_fraction = 0.0;
   double mean_fence_distance = 0.0;
   uint64_t min_fence_distance = 0;
@@ -69,7 +49,24 @@ struct FunctionAnalysis {
 
 class PatternAnalyzer : public TraceSink {
  public:
-  PatternAnalyzer(AnalyzerConfig config, std::set<uint32_t> selected_funcs);
+  // A new write continues a sequentiality context if it starts within this
+  // many bytes after the context's current end...
+  static constexpr uint64_t kSeqAdjacencySlack = 64;
+  // ...and within this many instructions of the context's previous write.
+  // Address-adjacent writes that are far apart in time (e.g. bucket-sort
+  // scatters) are NOT sequential for the cache: the line is long evicted.
+  static constexpr uint64_t kSeqStalenessInstructions = 10000;
+  // A context counts as sequential only with at least this many adjacent
+  // writes: pairs occur by chance in random scatters.
+  static constexpr uint64_t kMinSeqContextWrites = 4;
+  // Stores with a fence within this many instructions count as
+  // "written before a fence".
+  static constexpr uint64_t kFenceNearInstructions = 4096;
+  // Cap on pending (store -> next fence) tracking per core.
+  static constexpr size_t kMaxPendingStores = 65536;
+
+  // `line_size` is the analysed machine's cache line size.
+  PatternAnalyzer(uint64_t line_size, std::set<uint32_t> selected_funcs);
 
   void Record(const TraceRecord& rec) override;
 
@@ -100,7 +97,7 @@ class PatternAnalyzer : public TraceSink {
     uint32_t func_id;
   };
 
-  struct alignas(64) PerCore {
+  struct PerCore {
     std::vector<Context> contexts;
     // context lookup: exact end byte -> context index.
     std::unordered_map<uint64_t, uint32_t> by_end;
@@ -119,9 +116,9 @@ class PatternAnalyzer : public TraceSink {
   void OnLoad(PerCore& pc, const TraceRecord& rec);
   void OnFence(PerCore& pc, const TraceRecord& rec);
 
-  AnalyzerConfig config_;
+  const uint64_t line_size_;
   std::set<uint32_t> selected_;
-  std::vector<PerCore> per_core_;
+  std::vector<PerCore> per_core_;  // one per core id
 };
 
 }  // namespace prestore

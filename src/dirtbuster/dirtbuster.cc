@@ -23,6 +23,15 @@ std::string HumanBytes(uint64_t bytes) {
 
 namespace {
 
+// §7.1's gate is "<10% of their time issuing store instructions". Store
+// instructions cost more time than average instructions (they miss), so the
+// equivalent instruction-count fraction is calibrated to 5%.
+constexpr double kWriteIntensiveFraction = 0.05;
+// How many top write functions to instrument in pass 2.
+constexpr size_t kTopFunctions = 6;
+// Functions below this share of sampled stores are not instrumented.
+constexpr double kMinStoreShare = 0.05;
+
 std::string DistanceText(bool finite, double distance) {
   if (!finite) {
     return "inf";
@@ -104,15 +113,6 @@ Advice DirtBusterReport::OverallAdvice() const {
   return Advice::kNone;
 }
 
-DirtBuster::DirtBuster(Machine& machine, DirtBusterConfig config)
-    : machine_(machine), config_(config) {
-  config_.analyzer.line_size = machine.config().line_size;
-  config_.sampler.max_cores = std::max(config_.sampler.max_cores,
-                                       machine.num_cores());
-  config_.analyzer.max_cores = std::max(config_.analyzer.max_cores,
-                                        machine.num_cores());
-}
-
 uint64_t DirtBuster::TotalIcount() const {
   uint64_t total = 0;
   for (uint32_t i = 0; i < machine_.num_cores(); ++i) {
@@ -125,7 +125,7 @@ DirtBusterReport DirtBuster::Analyze(const std::function<void()>& workload) {
   DirtBusterReport report;
 
   // ---- Pass 1: sampling (§6.2.1) ----
-  SamplingProfiler sampler(machine_.registry(), config_.sampler);
+  SamplingProfiler sampler(machine_.registry());
   const uint64_t icount_before = TotalIcount();
   machine_.SetTraceSink(&sampler);
   workload();
@@ -134,8 +134,8 @@ DirtBusterReport DirtBuster::Analyze(const std::function<void()>& workload) {
       sampler.Finalize(TotalIcount() - icount_before);
 
   report.store_instruction_fraction = profile.store_instruction_fraction;
-  report.write_intensive = profile.store_instruction_fraction >=
-                           config_.write_intensive_fraction;
+  report.write_intensive =
+      profile.store_instruction_fraction >= kWriteIntensiveFraction;
   if (!report.write_intensive) {
     // §7.1: "Adding pre-stores to these applications would have no effect.
     // We did not instrument these applications further."
@@ -144,17 +144,17 @@ DirtBusterReport DirtBuster::Analyze(const std::function<void()>& workload) {
 
   std::set<uint32_t> selected;
   for (const SampledFunction& f : profile.functions) {
-    if (selected.size() >= config_.top_functions) {
+    if (selected.size() >= kTopFunctions) {
       break;
     }
-    if (f.store_share < config_.min_store_share) {
+    if (f.store_share < kMinStoreShare) {
       break;  // sorted by stores: everything after is smaller
     }
     selected.insert(f.func_id);
   }
 
   // ---- Pass 2: binary instrumentation (§6.2.2, §6.2.3) ----
-  PatternAnalyzer analyzer(config_.analyzer, selected);
+  PatternAnalyzer analyzer(machine_.config().line_size, selected);
   machine_.SetTraceSink(&analyzer);
   workload();
   machine_.SetTraceSink(nullptr);
@@ -181,14 +181,13 @@ DirtBusterReport DirtBuster::Analyze(const std::function<void()>& workload) {
         break;
       }
     }
-    fr.advice = AdviseFunction(analysis, config_.thresholds);
+    fr.advice = AdviseFunction(analysis);
     report.sequential_writer =
         report.sequential_writer ||
-        analysis.seq_write_fraction >= config_.thresholds.seq_fraction;
+        analysis.seq_write_fraction >= kAdviceSeqFraction;
     report.writes_before_fence =
         report.writes_before_fence ||
-        analysis.writes_before_fence_fraction >=
-            config_.thresholds.fence_fraction;
+        analysis.writes_before_fence_fraction >= kAdviceFenceFraction;
     fr.analysis = std::move(analysis);
     report.functions.push_back(std::move(fr));
   }

@@ -24,20 +24,6 @@
 
 namespace prestore {
 
-struct DirtBusterConfig {
-  SamplerConfig sampler;
-  AnalyzerConfig analyzer;
-  AdviceThresholds thresholds;
-  // §7.1's gate is "<10% of their time issuing store instructions". Store
-  // instructions cost more time than average instructions (they miss), so
-  // the equivalent instruction-count fraction is calibrated to 5%.
-  double write_intensive_fraction = 0.05;
-  // How many top write functions to instrument in pass 2.
-  size_t top_functions = 6;
-  // Functions below this share of sampled stores are not instrumented.
-  double min_store_share = 0.05;
-};
-
 struct FunctionReport {
   std::string name;
   std::string location;
@@ -63,7 +49,8 @@ struct DirtBusterReport {
 
 class DirtBuster {
  public:
-  explicit DirtBuster(Machine& machine, DirtBusterConfig config = {});
+  // Analyses workloads running on `machine`, at its cache line size.
+  explicit DirtBuster(Machine& machine) : machine_(machine) {}
 
   // Runs `workload` twice (it must be re-runnable) and returns the report.
   // The workload drives the machine's cores itself (e.g. via RunParallel).
@@ -73,7 +60,6 @@ class DirtBuster {
   uint64_t TotalIcount() const;
 
   Machine& machine_;
-  DirtBusterConfig config_;
 };
 
 // Helper shared with the report writer: "16.2MB" / "240B" style size text.

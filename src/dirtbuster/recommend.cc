@@ -2,12 +2,11 @@
 
 namespace prestore {
 
-Advice AdviseClass(const SizeClassReport& cls, bool fence_bound,
-                   const AdviceThresholds& t) {
+Advice AdviseClass(const SizeClassReport& cls, bool fence_bound) {
   const bool rewritten_soon =
-      cls.rewrite_finite && cls.rewrite_distance < t.rewrite_near;
+      cls.rewrite_finite && cls.rewrite_distance < kAdviceRewriteNear;
   const bool reread_soon =
-      cls.reread_finite && cls.reread_distance < t.reread_near;
+      cls.reread_finite && cls.reread_distance < kAdviceRereadNear;
   if (rewritten_soon) {
     // Cleaning or skipping re-written data causes useless memory traffic
     // (§5, Listing 3). Demoting is still useful when a fence follows.
@@ -19,11 +18,10 @@ Advice AdviseClass(const SizeClassReport& cls, bool fence_bound,
   return Advice::kSkip;
 }
 
-Advice AdviseFunction(const FunctionAnalysis& analysis,
-                      const AdviceThresholds& t) {
-  const bool sequential = analysis.seq_write_fraction >= t.seq_fraction;
+Advice AdviseFunction(const FunctionAnalysis& analysis) {
+  const bool sequential = analysis.seq_write_fraction >= kAdviceSeqFraction;
   const bool fence_bound =
-      analysis.writes_before_fence_fraction >= t.fence_fraction;
+      analysis.writes_before_fence_fraction >= kAdviceFenceFraction;
   if (!sequential && !fence_bound) {
     // §6.1: pre-stores only help sequential writes or writes before fences.
     return Advice::kNone;
@@ -33,10 +31,10 @@ Advice AdviseFunction(const FunctionAnalysis& analysis,
   bool any_reread = false;
   bool any_skip = false;
   for (const SizeClassReport& cls : analysis.classes) {
-    if (cls.write_share < t.significant_class_share) {
+    if (cls.write_share < kAdviceSignificantClassShare) {
       continue;
     }
-    switch (AdviseClass(cls, fence_bound, t)) {
+    switch (AdviseClass(cls, fence_bound)) {
       case Advice::kNone:
       case Advice::kDemote:
         rewrite_share += cls.write_share;

@@ -7,19 +7,17 @@
 
 namespace prestore {
 
-struct AdviceThresholds {
-  // A size class counts as "re-read / re-written soon" below these distances
-  // (in instructions).
-  uint64_t reread_near = 100000;
-  uint64_t rewrite_near = 100000;
-  // A function counts as "writes before fence" when at least this fraction
-  // of its writes has a fence within fence_near_instructions.
-  double fence_fraction = 0.30;
-  // A function counts as "sequential writer" above this fraction.
-  double seq_fraction = 0.25;
-  // Size classes below this write share are ignored for the decision.
-  double significant_class_share = 0.05;
-};
+// A size class counts as "re-read / re-written soon" below these distances
+// (in instructions).
+inline constexpr uint64_t kAdviceRereadNear = 100000;
+inline constexpr uint64_t kAdviceRewriteNear = 100000;
+// A function counts as "writes before fence" when at least this fraction of
+// its writes has a fence within PatternAnalyzer::kFenceNearInstructions.
+inline constexpr double kAdviceFenceFraction = 0.30;
+// A function counts as "sequential writer" above this fraction.
+inline constexpr double kAdviceSeqFraction = 0.25;
+// Size classes below this write share are ignored for the decision.
+inline constexpr double kAdviceSignificantClassShare = 0.05;
 
 // Per-size-class advice, following the paper's rules:
 //   re-written soon            -> demote (publish early, keep for re-writes)
@@ -27,15 +25,13 @@ struct AdviceThresholds {
 //   neither                    -> skip   (non-temporal stores)
 // A class that is re-written almost immediately and not fence-bound gets
 // kNone (the Listing-3 trap).
-Advice AdviseClass(const SizeClassReport& cls, bool fence_bound,
-                   const AdviceThresholds& t);
+Advice AdviseClass(const SizeClassReport& cls, bool fence_bound);
 
 // Whole-function advice: kNone unless the function writes sequentially or
 // writes before fences (§6.2.2); otherwise the dominant classes decide.
 // A single significant re-read-soon class forces kClean over kSkip (the
 // TensorFlow case in §7.2.1).
-Advice AdviseFunction(const FunctionAnalysis& analysis,
-                      const AdviceThresholds& t);
+Advice AdviseFunction(const FunctionAnalysis& analysis);
 
 // Whether an online advisor's verdict (the region monitor, src/monitor)
 // agrees with an offline DirtBuster recommendation over the same data:

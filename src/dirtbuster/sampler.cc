@@ -2,11 +2,12 @@
 
 #include <algorithm>
 
+#include "src/sim/config.h"
+
 namespace prestore {
 
-SamplingProfiler::SamplingProfiler(const FunctionRegistry& registry,
-                                   SamplerConfig config)
-    : registry_(registry), config_(config), per_core_(config.max_cores) {}
+SamplingProfiler::SamplingProfiler(const FunctionRegistry& registry)
+    : registry_(registry), per_core_(kMaxCores) {}
 
 void SamplingProfiler::Record(const TraceRecord& rec) {
   if (rec.kind != TraceKind::kLoad && rec.kind != TraceKind::kStore &&
@@ -14,7 +15,7 @@ void SamplingProfiler::Record(const TraceRecord& rec) {
     return;
   }
   PerCore& pc = per_core_[rec.core_id];
-  if (++pc.counter % config_.period != 0) {
+  if (++pc.counter % kPeriod != 0) {
     return;
   }
   // Weight by the number of load/store instructions the record stands for
@@ -58,7 +59,7 @@ SampleProfile SamplingProfiler::Finalize(uint64_t total_instructions) const {
   }
   if (total_instructions > 0) {
     profile.store_instruction_fraction =
-        static_cast<double>(profile.sampled_stores * config_.period) /
+        static_cast<double>(profile.sampled_stores * kPeriod) /
         static_cast<double>(total_instructions);
   }
   for (const auto& [func, counters] : merged) {
@@ -78,8 +79,8 @@ SampleProfile SamplingProfiler::Finalize(uint64_t total_instructions) const {
                                                       counters.chains.end());
     std::sort(chains.begin(), chains.end(),
               [](const auto& a, const auto& b) { return a.second > b.second; });
-    if (chains.size() > config_.top_chains_per_function) {
-      chains.resize(config_.top_chains_per_function);
+    if (chains.size() > kTopChainsPerFunction) {
+      chains.resize(kTopChainsPerFunction);
     }
     sf.top_chains = std::move(chains);
     profile.functions.push_back(std::move(sf));

@@ -13,14 +13,6 @@
 
 namespace prestore {
 
-struct SamplerConfig {
-  // Sample one memory access out of `period` (prime by default, to avoid
-  // aliasing with loop strides).
-  uint64_t period = 499;
-  uint32_t max_cores = 64;
-  uint32_t top_chains_per_function = 3;
-};
-
 struct SampledFunction {
   uint32_t func_id = kInvalidFunc;
   std::string name;
@@ -46,7 +38,13 @@ struct SampleProfile {
 
 class SamplingProfiler : public TraceSink {
  public:
-  SamplingProfiler(const FunctionRegistry& registry, SamplerConfig config);
+  // Sample one memory access out of kPeriod (a prime, to avoid aliasing
+  // with loop strides).
+  static constexpr uint64_t kPeriod = 499;
+  // Callchains kept per function, most common first.
+  static constexpr uint32_t kTopChainsPerFunction = 3;
+
+  explicit SamplingProfiler(const FunctionRegistry& registry);
 
   void Record(const TraceRecord& rec) override;
 
@@ -61,7 +59,7 @@ class SamplingProfiler : public TraceSink {
     std::unordered_map<uint32_t, uint64_t> chains;
   };
 
-  struct alignas(64) PerCore {
+  struct PerCore {
     uint64_t counter = 0;
     uint64_t loads = 0;
     uint64_t stores = 0;
@@ -69,8 +67,7 @@ class SamplingProfiler : public TraceSink {
   };
 
   const FunctionRegistry& registry_;
-  SamplerConfig config_;
-  std::vector<PerCore> per_core_;
+  std::vector<PerCore> per_core_;  // one per core id
 };
 
 }  // namespace prestore

@@ -214,9 +214,9 @@ size_t GovernedHwPrestore::Prestore(const void* location, size_t size,
     if (window_attempts >= config_.global_eval_window) {
       const double fence_rate =
           static_cast<double>(fences_ - gate_last_fences_) / window_attempts;
-      if (!gate_closed_ && fence_rate < config_.fence_rate_low) {
+      if (!gate_closed_ && fence_rate < kFenceRateLow) {
         gate_closed_ = true;
-      } else if (gate_closed_ && fence_rate > config_.fence_rate_high) {
+      } else if (gate_closed_ && fence_rate > kFenceRateHigh) {
         gate_closed_ = false;
       }
       gate_last_attempts_ = attempts_;
@@ -226,7 +226,7 @@ size_t GovernedHwPrestore::Prestore(const void* location, size_t size,
       ++suppressed_;
       continue;
     }
-    RegionBackoff& region = regions_[a >> config_.region_shift];
+    RegionBackoff& region = regions_[a >> kRegionShift];
     if (!region.OnHint(config_, config_.backoff_rewrite_rate)) {
       ++suppressed_;
       continue;
@@ -252,7 +252,7 @@ void GovernedHwPrestore::NoteStore(const void* location, size_t size) {
     for (size_t i = 0; i < kRecentCleans; ++i) {
       if (recent_clean_[i] == a) {
         recent_clean_[i] = 0;
-        regions_[a >> config_.region_shift].OnRewrite();
+        regions_[a >> kRegionShift].OnRewrite();
         break;
       }
     }

@@ -43,37 +43,12 @@ std::string MonitorConfig::Validate() const {
   if (aggregation_samples == 0) {
     return "aggregation_samples must be > 0";
   }
-  if (min_regions == 0 || min_regions > max_regions) {
-    return "regions must satisfy 1 <= min_regions <= max_regions";
+  if (max_regions < RegionMonitor::kMinRegions) {
+    return "max_regions must be >= " +
+           std::to_string(RegionMonitor::kMinRegions);
   }
   if (max_regions > 1000) {
     return "max_regions must be <= 1000 (the bounded-overhead contract)";
-  }
-  if (merge_homogeneity < 0.0 || merge_homogeneity > 1.0) {
-    return "merge_homogeneity must be in [0, 1]";
-  }
-  if (probe_period == 0) {
-    return "probe_period must be > 0";
-  }
-  const auto fraction = [](double v) { return v >= 0.0 && v <= 1.0; };
-  if (!fraction(scheme.min_write_fraction) || !fraction(scheme.seq_fraction) ||
-      !fraction(scheme.backoff_rewrite_rate) ||
-      !fraction(scheme.backoff_useless_rate)) {
-    return "scheme fractions must be in [0, 1]";
-  }
-  if (scheme.fence_rate < 0.0 || scheme.min_interval_cleans < 0.0 ||
-      scheme.min_interval_samples < 0.0) {
-    return "scheme thresholds must be >= 0";
-  }
-  if (!rules.empty()) {
-    std::vector<SchemeRule> parsed;
-    const std::string error = ParseSchemeRules(rules, &parsed);
-    if (!error.empty()) {
-      return "rules: " + error;
-    }
-    if (parsed.empty()) {
-      return "rules text contains no rules";
-    }
   }
   return "";
 }
@@ -109,18 +84,7 @@ RegionMonitor::RegionMonitor(Machine& machine, MonitorConfig config)
     : machine_(machine),
       config_(std::move(config)),
       line_size_(machine.config().line_size),
-      engine_([&] {
-        if (!config_.rules.empty()) {
-          std::vector<SchemeRule> parsed;
-          const std::string error = ParseSchemeRules(config_.rules, &parsed);
-          if (!error.empty()) {
-            throw std::invalid_argument("MonitorConfig rules: " + error);
-          }
-          return SchemeEngine(std::move(parsed));
-        }
-        return SchemeEngine(DefaultSchemeRules(config_.scheme));
-      }()),
-      rng_(config_.seed),
+      rng_(kSeed),
       actions_digest_(kFnvOffset) {
   const std::string error = config_.Validate();
   if (!error.empty()) {
@@ -219,12 +183,10 @@ void RegionMonitor::OnSampledAccess(uint8_t core, uint64_t line_addr,
 }
 
 HintFate RegionMonitor::OnPrestoreHint(uint8_t core, uint64_t line_addr,
-                                       PrestoreOp op, uint64_t now,
-                                       uint64_t* delay_cycles) {
+                                       PrestoreOp op, uint64_t now) {
   (void)core;
   (void)op;
   (void)now;
-  (void)delay_cycles;
   const size_t idx = FindRegion(line_addr);
   if (idx != SIZE_MAX) {
     ++regions_[idx].attempts;
@@ -285,7 +247,7 @@ HintFate RegionMonitor::AdviseHint(uint8_t core, uint64_t line_addr,
     ++probe_admits_;
     return HintFate::kIssue;
   }
-  if (++region.since_probe >= config_.probe_period) {
+  if (++region.since_probe >= kProbePeriod) {
     region.since_probe = 0;
     ++region.total_probes;
     ++probe_admits_;
@@ -306,7 +268,7 @@ HintFate RegionMonitor::AdviseSweep(uint64_t addr, uint64_t size) {
   if (region.verdict.gate != HintGate::kSuppress) {
     return HintFate::kIssue;
   }
-  if (++region.since_probe >= config_.probe_period) {
+  if (++region.since_probe >= kProbePeriod) {
     // Grant the whole slot as one probe: the ensuing Prestore's per-line
     // AdviseHint consults consume the grant instead of re-rolling the
     // probe counter.
@@ -347,14 +309,9 @@ void RegionMonitor::EvaluateRegions() {
     } else if (region.writes > 0) {
       ++region.intervals_since_read;
     }
-    // One pull probe per region per interval: residency + dirtiness of a
-    // uniformly sampled line (the DAMON-style "one check per region").
-    const uint64_t lines = (region.end - region.start) / line_size_;
-    const uint64_t probe_addr =
-        region.start + rng_.Below(lines) * line_size_;
-    region.probe_dirty = false;
-    region.probe_resident =
-        machine_.LlcProbe(probe_addr, &region.probe_dirty);
+    // Unread draw: it keeps the split offsets, and so every recorded
+    // monitor digest, unchanged.
+    (void)rng_.Below((region.end - region.start) / line_size_);
 
     if (accesses > 0 || issued > 0) {
       SchemeStats stats;
@@ -375,20 +332,18 @@ void RegionMonitor::EvaluateRegions() {
       stats.noread_intervals = region.intervals_since_read;
       stats.samples = accesses;
       stats.cleans = issued;
-      stats.resident = region.probe_resident ? 1.0 : 0.0;
-      stats.dirty = region.probe_dirty ? 1.0 : 0.0;
-      SchemeVerdict verdict = engine_.Evaluate(stats);
+      SchemeVerdict verdict = EvaluateSchemeRules(stats);
       // Hysteresis on suppression reversal: while a region is suppressed,
       // most of its cleans are dropped, so an interval can end with too few
       // issued cleans to re-match the backoff rule that suppressed it.
       // Re-opening on that silence would re-admit the storm and oscillate.
       // Reversal evidence must come from actual clean flow — keep the
       // suppressed verdict until an interval that saw at least
-      // min_interval_cleans issued cleans (the recovery probes) evaluates
-      // to something else.
+      // kSchemeMinIntervalCleans issued cleans (the recovery probes)
+      // evaluates to something else.
       if (region.verdict.gate == HintGate::kSuppress &&
           verdict.gate != HintGate::kSuppress &&
-          stats.cleans < config_.scheme.min_interval_cleans) {
+          stats.cleans < kSchemeMinIntervalCleans) {
         verdict = region.verdict;
       }
       if (verdict != region.verdict) {
@@ -418,14 +373,14 @@ void RegionMonitor::EvaluateRegions() {
 
 void RegionMonitor::MergeRegions() {
   size_t i = 0;
-  while (i + 1 < regions_.size() && regions_.size() > config_.min_regions) {
+  while (i + 1 < regions_.size() && regions_.size() > kMinRegions) {
     MonitorRegion& a = regions_[i];
     MonitorRegion& b = regions_[i + 1];
     const bool adjacent = a.range_id == b.range_id && a.end == b.start;
     const uint32_t hi = std::max(a.last_nr_accesses, b.last_nr_accesses);
     const uint32_t diff = hi - std::min(a.last_nr_accesses, b.last_nr_accesses);
     const bool homogeneous =
-        hi == 0 || static_cast<double>(diff) / hi <= config_.merge_homogeneity;
+        hi == 0 || static_cast<double>(diff) / hi <= kMergeHomogeneity;
     if (!adjacent || !homogeneous || a.verdict != b.verdict) {
       ++i;
       continue;
@@ -436,8 +391,6 @@ void RegionMonitor::MergeRegions() {
     a.intervals_since_read =
         std::min(a.intervals_since_read, b.intervals_since_read);
     a.last_write_line = std::max(a.last_write_line, b.last_write_line);
-    a.probe_resident = a.probe_resident || b.probe_resident;
-    a.probe_dirty = a.probe_dirty || b.probe_dirty;
     a.probe_grant_lines += b.probe_grant_lines;
     a.total_suppressed += b.total_suppressed;
     a.total_probes += b.total_probes;

@@ -1,7 +1,7 @@
 // Online adaptive region monitor in the style of Linux DAMON (DESIGN.md
 // §13): bounded adaptive address regions sampled through the simulator's
 // observation path, split/merged each aggregation interval by access-pattern
-// homogeneity, with DAMOS-like scheme rules (scheme.h) turning each region's
+// homogeneity, with four fixed rules (scheme.h) turning each region's
 // observed pattern into a pre-store verdict.
 //
 // The monitor is three interfaces in one object:
@@ -14,13 +14,13 @@
 //   PrestoreHook — full-rate pre-store telemetry (hint attempts, useless
 //     hints, rewrites-after-clean, fences) attributed to regions. Always
 //     returns kIssue: the monitor observes, the governor enforces.
-//   RegionAdvisor — the per-region verdict source for
-//     GovernorPolicy::kMonitored: suppressed regions drop hints except
-//     every probe_period-th (recovery probing), admitted/default regions
-//     let them through.
+//   RegionAdvisor — the per-region verdict source of a governor it is
+//     installed on: suppressed regions drop hints except every
+//     kProbePeriod-th (recovery probing), admitted/default regions let
+//     them through.
 //
 // Determinism: the sample stream, the aggregation schedule, the seeded
-// split offsets, and hence the region tree and scheme-action log are
+// split offsets, and hence the region tree and verdict action log are
 // byte-identical across runs of the same workload (monitor_test pins this
 // via DigestState()).
 #ifndef SRC_MONITOR_REGION_MONITOR_H_
@@ -44,25 +44,12 @@ struct MonitorConfig {
   // Line accesses per sampled check, per core. The overhead dial: one
   // virtual call per `sample_period` line accesses on monitored runs.
   uint32_t sample_period = 32;
-  // Sampled accesses per aggregation interval (split/merge + scheme
+  // Sampled accesses per aggregation interval (split/merge + rule
   // evaluation cadence).
   uint64_t aggregation_samples = 512;
-  // Global bounds on the adaptive region count (the DAMON contract: work
-  // per interval is O(max_regions) regardless of address-space size).
-  uint32_t min_regions = 10;
-  uint32_t max_regions = 100;  // hard-capped at 1000 by Validate()
-  // Adjacent regions merge when their sampled access counts differ by at
-  // most this fraction of the busier one (and their verdicts agree).
-  double merge_homogeneity = 0.25;
-  // In a suppressed region, admit every Nth hint as a recovery probe.
-  uint32_t probe_period = 16;
-  // Seed for the split-offset RNG (part of the determinism contract).
-  uint64_t seed = 1;
-  // Scheme thresholds for DefaultSchemeRules; ignored when `rules` is
-  // non-empty.
-  SchemeConfig scheme;
-  // Optional rule override in the scheme.h text grammar.
-  std::string rules;
+  // Upper bound on the adaptive region count (the DAMON contract: work per
+  // interval is O(max_regions) regardless of address-space size).
+  uint32_t max_regions = 100;  // in [kMinRegions, 1000], see Validate()
 
   // "" when coherent, else the first problem (ServeConfig::Validate idiom).
   std::string Validate() const;
@@ -88,10 +75,6 @@ struct MonitorRegion {
   uint32_t rewrites = 0;
   uint32_t useless = 0;
   uint32_t fences = 0;      // fences attributed to this region
-
-  // Once-per-interval pull probe of one sampled line.
-  bool probe_resident = false;
-  bool probe_dirty = false;
 
   // Persistent pattern state.
   uint32_t intervals_since_read = 0;  // written-but-not-read streak
@@ -146,19 +129,19 @@ class RegionMonitor : public AccessSampleHook,
 
   // ---- PrestoreHook (pure observer: never drops) ----
   HintFate OnPrestoreHint(uint8_t core, uint64_t line_addr, PrestoreOp op,
-                          uint64_t now, uint64_t* delay_cycles) override;
+                          uint64_t now) override;
   void OnUselessHint(uint8_t core, uint64_t line_addr, PrestoreOp op) override;
   void OnRewriteAfterClean(uint8_t core, uint64_t line_addr,
                            uint64_t now) override;
   void OnFence(uint8_t core, uint64_t now) override;
 
-  // ---- RegionAdvisor (the governor's kMonitored verdict source) ----
+  // ---- RegionAdvisor (the governor's per-region verdict source) ----
   HintFate AdviseHint(uint8_t core, uint64_t line_addr, PrestoreOp op,
                       uint64_t now) override;
 
   // Host-side gate for the serve batch-close clean sweep over [addr,
   // addr+size): kDrop means "skip this slot's Prestore call entirely".
-  // Suppressed regions still leak every probe_period-th sweep through (as a
+  // Suppressed regions still leak every kProbePeriod-th sweep through (as a
   // pre-granted probe) so recovery sensing survives host-side gating.
   HintFate AdviseSweep(uint64_t addr, uint64_t size);
 
@@ -193,6 +176,16 @@ class RegionMonitor : public AccessSampleHook,
 
   const MonitorConfig& config() const { return config_; }
 
+  // Lower bound on the region count: merging stops at this many regions.
+  static constexpr uint32_t kMinRegions = 10;
+  // Adjacent regions merge when their sampled access counts differ by at
+  // most this fraction of the busier one (and their verdicts agree).
+  static constexpr double kMergeHomogeneity = 0.25;
+  // In a suppressed region, admit every Nth hint as a recovery probe.
+  static constexpr uint32_t kProbePeriod = 16;
+  // Seed for the split-offset RNG (part of the determinism contract).
+  static constexpr uint64_t kSeed = 1;
+
  private:
   // Index of the region containing `addr`, or SIZE_MAX.
   size_t FindRegion(uint64_t addr) const;
@@ -205,7 +198,6 @@ class RegionMonitor : public AccessSampleHook,
   Machine& machine_;
   const MonitorConfig config_;
   const uint64_t line_size_;
-  SchemeEngine engine_;
   bool attached_ = false;
 
   std::vector<MonitorRegion> regions_;  // sorted by start; spans disjoint

@@ -1,294 +1,29 @@
 #include "src/monitor/scheme.h"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace prestore {
 
-namespace {
-
-double FieldOf(const SchemeStats& stats, SchemeField field) {
-  switch (field) {
-    case SchemeField::kWriteFraction:
-      return stats.write_fraction;
-    case SchemeField::kSeqFraction:
-      return stats.seq_fraction;
-    case SchemeField::kRewriteRate:
-      return stats.rewrite_rate;
-    case SchemeField::kUselessRate:
-      return stats.useless_rate;
-    case SchemeField::kFenceRate:
-      return stats.fence_rate;
-    case SchemeField::kNoReadIntervals:
-      return stats.noread_intervals;
-    case SchemeField::kSamples:
-      return stats.samples;
-    case SchemeField::kCleans:
-      return stats.cleans;
-    case SchemeField::kResident:
-      return stats.resident;
-    case SchemeField::kDirty:
-      return stats.dirty;
-  }
-  return 0.0;
-}
-
-bool ParseField(std::string_view name, SchemeField* out) {
-  static constexpr SchemeField kAll[] = {
-      SchemeField::kWriteFraction, SchemeField::kSeqFraction,
-      SchemeField::kRewriteRate,   SchemeField::kUselessRate,
-      SchemeField::kFenceRate,     SchemeField::kNoReadIntervals,
-      SchemeField::kSamples,       SchemeField::kCleans,
-      SchemeField::kResident,      SchemeField::kDirty,
-  };
-  for (SchemeField f : kAll) {
-    if (name == ToString(f)) {
-      *out = f;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ParseAdvice(std::string_view name, Advice* out) {
-  static constexpr Advice kAll[] = {Advice::kNone, Advice::kDemote,
-                                    Advice::kClean, Advice::kSkip};
-  for (Advice a : kAll) {
-    if (name == ToString(a)) {
-      *out = a;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ParseGate(std::string_view name, HintGate* out) {
-  static constexpr HintGate kAll[] = {HintGate::kDefault, HintGate::kAdmit,
-                                      HintGate::kSuppress};
-  for (HintGate g : kAll) {
-    if (name == ToString(g)) {
-      *out = g;
-      return true;
-    }
-  }
-  return false;
-}
-
-std::vector<std::string_view> SplitWords(std::string_view s) {
-  std::vector<std::string_view> out;
-  size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) {
-      ++i;
-    }
-    size_t j = i;
-    while (j < s.size() && s[j] != ' ' && s[j] != '\t') {
-      ++j;
-    }
-    if (j > i) {
-      out.push_back(s.substr(i, j - i));
-    }
-    i = j;
-  }
-  return out;
-}
-
-std::string LineError(size_t line_no, const std::string& what) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "line %zu: ", line_no);
-  return buf + what;
-}
-
-}  // namespace
-
-std::vector<SchemeRule> DefaultSchemeRules(const SchemeConfig& cfg) {
-  std::vector<SchemeRule> rules;
-
+SchemeVerdict EvaluateSchemeRules(const SchemeStats& s) {
   // Back off first: a region whose admitted cleans keep getting re-dirtied
   // while resident is the Listing-3 misuse, whatever else it looks like.
-  SchemeRule rewritten;
-  rewritten.name = "rewritten-while-resident";
-  rewritten.predicates = {
-      {SchemeField::kCleans, true, cfg.min_interval_cleans},
-      {SchemeField::kRewriteRate, true, cfg.backoff_rewrite_rate},
-  };
-  rewritten.advice = Advice::kNone;
-  rewritten.gate = HintGate::kSuppress;
-  rules.push_back(std::move(rewritten));
-
-  SchemeRule useless;
-  useless.name = "useless-dominated";
-  useless.predicates = {
-      {SchemeField::kCleans, true, cfg.min_interval_cleans},
-      {SchemeField::kUselessRate, true, cfg.backoff_useless_rate},
-  };
-  useless.advice = Advice::kNone;
-  useless.gate = HintGate::kSuppress;
-  rules.push_back(std::move(useless));
-
+  if (s.cleans >= kSchemeMinIntervalCleans &&
+      s.rewrite_rate >= kSchemeBackoffRewriteRate) {
+    return {Advice::kNone, HintGate::kSuppress, kRuleRewrittenWhileResident};
+  }
+  if (s.cleans >= kSchemeMinIntervalCleans &&
+      s.useless_rate >= kSchemeBackoffUselessRate) {
+    return {Advice::kNone, HintGate::kSuppress, kRuleUselessDominated};
+  }
+  const bool writer = s.samples >= kSchemeMinIntervalSamples &&
+                      s.write_fraction >= kSchemeMinWriteFraction;
   // Fence-bound writers want their publication latency overlapped: demote.
-  // Evaluated before the clean rule so a fence-bound sequential writer gets
+  // Checked before the clean rule so a fence-bound sequential writer gets
   // the ordering-aware advice (matches AdviseFunction's precedence).
-  SchemeRule fence;
-  fence.name = "writes-before-fence";
-  fence.predicates = {
-      {SchemeField::kSamples, true, cfg.min_interval_samples},
-      {SchemeField::kWriteFraction, true, cfg.min_write_fraction},
-      {SchemeField::kFenceRate, true, cfg.fence_rate},
-  };
-  fence.advice = Advice::kDemote;
-  fence.gate = HintGate::kAdmit;
-  rules.push_back(std::move(fence));
-
-  SchemeRule seq;
-  seq.name = "seq-writes-no-reread";
-  seq.predicates = {
-      {SchemeField::kSamples, true, cfg.min_interval_samples},
-      {SchemeField::kWriteFraction, true, cfg.min_write_fraction},
-      {SchemeField::kSeqFraction, true, cfg.seq_fraction},
-      {SchemeField::kNoReadIntervals, true,
-       static_cast<double>(cfg.noread_intervals)},
-  };
-  seq.advice = Advice::kClean;
-  seq.gate = HintGate::kAdmit;
-  rules.push_back(std::move(seq));
-
-  return rules;
-}
-
-std::string ParseSchemeRules(std::string_view text,
-                             std::vector<SchemeRule>* out) {
-  std::vector<SchemeRule> rules;
-  size_t line_no = 0;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    const size_t eol = text.find('\n', pos);
-    std::string_view line = text.substr(
-        pos, eol == std::string_view::npos ? text.size() - pos : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    ++line_no;
-
-    const size_t hash = line.find('#');
-    if (hash != std::string_view::npos) {
-      line = line.substr(0, hash);
-    }
-    std::vector<std::string_view> words = SplitWords(line);
-    if (words.empty()) {
-      continue;
-    }
-
-    SchemeRule rule;
-    size_t w = 0;
-    // "name:" — either one word ending in ':' or a bare name plus ':'.
-    std::string_view head = words[w];
-    if (!head.empty() && head.back() == ':') {
-      rule.name = std::string(head.substr(0, head.size() - 1));
-      ++w;
-    } else if (w + 1 < words.size() && words[w + 1] == ":") {
-      rule.name = std::string(head);
-      w += 2;
-    } else {
-      return LineError(line_no, "expected 'name:' before predicates");
-    }
-    if (rule.name.empty()) {
-      return LineError(line_no, "empty rule name");
-    }
-
-    bool saw_arrow = false;
-    for (; w < words.size(); ++w) {
-      std::string_view word = words[w];
-      if (word == "->") {
-        saw_arrow = true;
-        ++w;
-        break;
-      }
-      size_t op = word.find(">=");
-      bool at_least = true;
-      if (op == std::string_view::npos) {
-        op = word.find("<=");
-        at_least = false;
-      }
-      if (op == std::string_view::npos) {
-        return LineError(line_no, "predicate '" + std::string(word) +
-                                      "' needs >= or <=");
-      }
-      SchemePredicate pred;
-      pred.at_least = at_least;
-      if (!ParseField(word.substr(0, op), &pred.field)) {
-        return LineError(line_no, "unknown field '" +
-                                      std::string(word.substr(0, op)) + "'");
-      }
-      const std::string num(word.substr(op + 2));
-      char* end = nullptr;
-      pred.bound = std::strtod(num.c_str(), &end);
-      if (num.empty() || end == nullptr || *end != '\0') {
-        return LineError(line_no, "bad number '" + num + "'");
-      }
-      rule.predicates.push_back(pred);
-    }
-    if (!saw_arrow) {
-      return LineError(line_no, "missing '-> advice [gate]'");
-    }
-    if (w >= words.size()) {
-      return LineError(line_no, "missing advice after '->'");
-    }
-    if (!ParseAdvice(words[w], &rule.advice)) {
-      return LineError(line_no,
-                       "unknown advice '" + std::string(words[w]) + "'");
-    }
-    ++w;
-    if (w < words.size()) {
-      if (!ParseGate(words[w], &rule.gate)) {
-        return LineError(line_no,
-                         "unknown gate '" + std::string(words[w]) + "'");
-      }
-      ++w;
-    }
-    if (w != words.size()) {
-      return LineError(line_no,
-                       "trailing junk '" + std::string(words[w]) + "'");
-    }
-    rules.push_back(std::move(rule));
+  if (writer && s.fence_rate >= kSchemeFenceRate) {
+    return {Advice::kDemote, HintGate::kAdmit, kRuleWritesBeforeFence};
   }
-  *out = std::move(rules);
-  return "";
-}
-
-std::string FormatSchemeRules(const std::vector<SchemeRule>& rules) {
-  std::string out;
-  char buf[64];
-  for (const SchemeRule& rule : rules) {
-    out += rule.name;
-    out += ':';
-    for (const SchemePredicate& pred : rule.predicates) {
-      std::snprintf(buf, sizeof(buf), " %s%s%g",
-                    std::string(ToString(pred.field)).c_str(),
-                    pred.at_least ? ">=" : "<=", pred.bound);
-      out += buf;
-    }
-    out += " -> ";
-    out += ToString(rule.advice);
-    out += ' ';
-    out += ToString(rule.gate);
-    out += '\n';
-  }
-  return out;
-}
-
-SchemeVerdict SchemeEngine::Evaluate(const SchemeStats& stats) const {
-  for (uint32_t i = 0; i < rules_.size(); ++i) {
-    const SchemeRule& rule = rules_[i];
-    bool match = true;
-    for (const SchemePredicate& pred : rule.predicates) {
-      const double v = FieldOf(stats, pred.field);
-      if (pred.at_least ? v < pred.bound : v > pred.bound) {
-        match = false;
-        break;
-      }
-    }
-    if (match) {
-      return SchemeVerdict{rule.advice, rule.gate, i};
-    }
+  if (writer && s.seq_fraction >= kSchemeSeqFraction &&
+      s.noread_intervals >= kSchemeNoReadIntervals) {
+    return {Advice::kClean, HintGate::kAdmit, kRuleSeqWritesNoReread};
   }
   return SchemeVerdict{};
 }

@@ -1,40 +1,29 @@
-// DAMOS-style declarative scheme rules for the adaptive region monitor
-// (DESIGN.md §13).
+// The adaptive region monitor's fixed verdict rules (DESIGN.md §13).
 //
 // Each aggregation interval the monitor reduces every region's sampled
-// counters to a SchemeStats view and evaluates an ordered rule list against
-// it; the first rule whose predicates all hold supplies the region's
-// verdict — a pre-store Advice (the shared offline/online vocabulary,
-// src/core/prestore.h) plus a hint gate the governor enforces. The default
-// ruleset encodes the paper-derived policies:
+// counters to a SchemeStats view and applies four rules to it in order; the
+// first rule whose conditions all hold supplies the region's verdict — a
+// pre-store Advice (the shared offline/online vocabulary,
+// src/core/prestore.h) plus a hint gate the governor enforces. The rules
+// encode the paper-derived policies (§6), backing off before admitting:
 //
-//   rewritten-while-resident  -> back off (suppress: the Listing-3 misuse)
-//   useless-dominated         -> back off (hints that moved nothing)
-//   writes-before-fence       -> demote, admit
-//   sequential writes, no
-//     re-read within N ivals  -> clean, admit
-//
-// Rules can also be written in a tiny text grammar (one rule per line):
-//
-//   name: field>=number field<=number ... -> advice [gate]
-//
-// with fields {writes, seq, rewrites, useless, fences, noread, samples,
-// cleans, resident, dirty}, advice {none, demote, clean, skip} and gate
-// {admit, suppress, default}. '#' starts a comment.
+//   0 rewritten-while-resident  -> back off (suppress: the Listing-3 misuse)
+//   1 useless-dominated         -> back off (hints that moved nothing)
+//   2 writes-before-fence       -> demote, admit
+//   3 sequential writes, no
+//       re-read within N ivals  -> clean, admit
 #ifndef SRC_MONITOR_SCHEME_H_
 #define SRC_MONITOR_SCHEME_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/core/prestore.h"
 
 namespace prestore {
 
-// Per-interval, per-region view the rule predicates read. Fractions are
-// over this interval's sampled accesses; rewrite/useless rates are over the
+// Per-interval, per-region view the rules read. Fractions are over this
+// interval's sampled accesses; rewrite/useless rates are over the
 // interval's admitted (full-rate) clean hints.
 struct SchemeStats {
   double write_fraction = 0.0;   // sampled writes / sampled accesses
@@ -45,22 +34,27 @@ struct SchemeStats {
   double noread_intervals = 0.0; // consecutive intervals with writes, no read
   double samples = 0.0;          // sampled accesses this interval
   double cleans = 0.0;           // admitted clean hints this interval
-  double resident = 0.0;         // 1.0 when the interval probe hit the LLC
-  double dirty = 0.0;            // 1.0 when the probed line was dirty
 };
 
-enum class SchemeField : uint8_t {
-  kWriteFraction,
-  kSeqFraction,
-  kRewriteRate,
-  kUselessRate,
-  kFenceRate,
-  kNoReadIntervals,
-  kSamples,
-  kCleans,
-  kResident,
-  kDirty,
-};
+// Thresholds of the four rules. Aligned with DirtBuster's offline
+// thresholds where the signals correspond (seq_fraction) and with the
+// governor's hysteresis rates where they do (rewrite/useless backoff).
+inline constexpr double kSchemeMinWriteFraction = 0.5;    // region is a writer
+inline constexpr double kSchemeSeqFraction = 0.25;        // a sequential one
+inline constexpr double kSchemeNoReadIntervals = 3.0;     // no re-read within N
+inline constexpr double kSchemeFenceRate = 0.25;          // fences per write
+inline constexpr double kSchemeBackoffRewriteRate = 0.5;  // rule 0
+inline constexpr double kSchemeBackoffUselessRate = 0.9;  // rule 1
+inline constexpr double kSchemeMinIntervalCleans = 8.0;   // backoff evidence
+inline constexpr double kSchemeMinIntervalSamples = 4.0;  // admit evidence
+
+// Rule ids, in evaluation order (SchemeVerdict::rule, the action log and
+// the monitor digest record them).
+inline constexpr uint32_t kRuleRewrittenWhileResident = 0;
+inline constexpr uint32_t kRuleUselessDominated = 1;
+inline constexpr uint32_t kRuleWritesBeforeFence = 2;
+inline constexpr uint32_t kRuleSeqWritesNoReread = 3;
+inline constexpr uint32_t kNoRule = ~uint32_t{0};
 
 // What the governor does with hints into a region under this verdict.
 enum class HintGate : uint8_t {
@@ -68,21 +62,6 @@ enum class HintGate : uint8_t {
   kAdmit,     // the rule endorses the hints
   kSuppress,  // back off: drop hints (except recovery probes)
 };
-
-struct SchemePredicate {
-  SchemeField field = SchemeField::kWriteFraction;
-  bool at_least = true;  // false: at most
-  double bound = 0.0;
-};
-
-struct SchemeRule {
-  std::string name;
-  std::vector<SchemePredicate> predicates;  // conjunction
-  Advice advice = Advice::kNone;
-  HintGate gate = HintGate::kDefault;
-};
-
-inline constexpr uint32_t kNoRule = ~uint32_t{0};
 
 // A region's current verdict: the matched rule's action (kNoRule when no
 // rule matched — advice kNone, gate kDefault).
@@ -97,45 +76,9 @@ struct SchemeVerdict {
   bool operator!=(const SchemeVerdict& o) const { return !(*this == o); }
 };
 
-// Thresholds the default ruleset is built from. Aligned with the offline
-// AdviceThresholds where the signals correspond (seq_fraction) and with the
-// governor's hysteresis rates where they do (rewrite/useless backoff).
-struct SchemeConfig {
-  double min_write_fraction = 0.5;   // region is a writer
-  double seq_fraction = 0.25;        // ...a sequential one (AdviceThresholds)
-  uint32_t noread_intervals = 3;     // "no re-read within N intervals"
-  double fence_rate = 0.25;          // fences per sampled write: fence-bound
-  double backoff_rewrite_rate = 0.5; // GovernorConfig::backoff_rewrite_rate
-  double backoff_useless_rate = 0.9; // GovernorConfig::backoff_useless_rate
-  double min_interval_cleans = 8.0;  // evidence floor for the backoff rules
-  double min_interval_samples = 4.0; // evidence floor for the admit rules
-};
-
-// The four default rules, in evaluation order (back off before admit).
-std::vector<SchemeRule> DefaultSchemeRules(const SchemeConfig& cfg);
-
-// Parses the text grammar above into `out`. Returns "" on success,
-// otherwise a description of the first error ("line 3: unknown field
-// 'writez'"). `out` is only modified on success.
-std::string ParseSchemeRules(std::string_view text,
-                             std::vector<SchemeRule>* out);
-
-// Renders rules back into the grammar (round-trips through the parser).
-std::string FormatSchemeRules(const std::vector<SchemeRule>& rules);
-
-class SchemeEngine {
- public:
-  explicit SchemeEngine(std::vector<SchemeRule> rules)
-      : rules_(std::move(rules)) {}
-
-  // First-match-wins evaluation; the default verdict when nothing matches.
-  SchemeVerdict Evaluate(const SchemeStats& stats) const;
-
-  const std::vector<SchemeRule>& rules() const { return rules_; }
-
- private:
-  std::vector<SchemeRule> rules_;
-};
+// Applies the four rules in order; the first match wins, and the default
+// verdict stands when none matches.
+SchemeVerdict EvaluateSchemeRules(const SchemeStats& stats);
 
 constexpr std::string_view ToString(HintGate gate) {
   switch (gate) {
@@ -145,32 +88,6 @@ constexpr std::string_view ToString(HintGate gate) {
       return "admit";
     case HintGate::kSuppress:
       return "suppress";
-  }
-  return "?";
-}
-
-constexpr std::string_view ToString(SchemeField field) {
-  switch (field) {
-    case SchemeField::kWriteFraction:
-      return "writes";
-    case SchemeField::kSeqFraction:
-      return "seq";
-    case SchemeField::kRewriteRate:
-      return "rewrites";
-    case SchemeField::kUselessRate:
-      return "useless";
-    case SchemeField::kFenceRate:
-      return "fences";
-    case SchemeField::kNoReadIntervals:
-      return "noread";
-    case SchemeField::kSamples:
-      return "samples";
-    case SchemeField::kCleans:
-      return "cleans";
-    case SchemeField::kResident:
-      return "resident";
-    case SchemeField::kDirty:
-      return "dirty";
   }
   return "?";
 }

@@ -1,6 +1,5 @@
 #include "src/msg/x9.h"
 
-#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -38,9 +37,6 @@ X9Inbox::X9Inbox(Machine& machine, uint32_t slots, uint32_t msg_size,
 }
 
 bool X9Inbox::TryWrite(Core& core, const void* payload, MsgPrestore mode) {
-  if (closed_.load(std::memory_order_acquire)) {
-    return false;  // owner refused admission: retry-after, like "full"
-  }
   const uint64_t ls = machine_.config().line_size;
   uint64_t tail = core.AtomicLoadU64(tail_addr_);
   const SimAddr slot = SlotAddr(tail);
@@ -97,14 +93,12 @@ bool X9Inbox::TryRead(Core& core, void* out) {
 
 namespace {
 
-// Reads the functional (host) backing directly: cursor and sequence words
-// are only ever written with std::atomic_ref release stores (Core's atomic
-// ops), so these acquire loads pair with them and observe values at most
-// one probe stale.
+// Reads the functional (host) backing directly, as Core's atomic ops write
+// it: no simulated cycles, no cache state.
 uint64_t HostLoadU64(Machine& machine, SimAddr addr) {
-  return std::atomic_ref<uint64_t>(
-             *reinterpret_cast<uint64_t*>(machine.HostPtr(addr)))
-      .load(std::memory_order_acquire);
+  uint64_t v;
+  std::memcpy(&v, machine.HostPtr(addr), sizeof(v));
+  return v;
 }
 
 }  // namespace
@@ -115,25 +109,11 @@ bool X9Inbox::Peek() {
 }
 
 bool X9Inbox::CanWrite() {
-  if (closed_.load(std::memory_order_acquire)) {
-    return false;
-  }
   const uint64_t tail = HostLoadU64(machine_, tail_addr_);
   return HostLoadU64(machine_, SlotAddr(tail)) == tail;
 }
 
-void X9Inbox::Close() { closed_.store(true, std::memory_order_release); }
-
-void X9Inbox::Reopen() { closed_.store(false, std::memory_order_release); }
-
-bool X9Inbox::closed() const {
-  return closed_.load(std::memory_order_acquire);
-}
-
 bool X9Inbox::Quiesced() {
-  // head == tail: every claimed index has been consumed. A producer that
-  // slipped past the closed check before Close() shows up here as
-  // head < tail until its publish lands and the owner's drain consumes it.
   return HostLoadU64(machine_, head_addr_) ==
          HostLoadU64(machine_, tail_addr_);
 }

@@ -9,8 +9,6 @@
 #ifndef SRC_MSG_X9_H_
 #define SRC_MSG_X9_H_
 
-#include <atomic>
-
 #include "src/sim/core.h"
 #include "src/sim/machine.h"
 
@@ -54,8 +52,7 @@ class X9Inbox {
   // (a failed TryRead costs real polling cycles, and an idle server that
   // paid them once per host-scheduler iteration would carry a clock that
   // measures the host, not the simulation). Single consumer, like TryRead:
-  // a true result is stable (only the caller consumes); a false result may
-  // be stale for one probe.
+  // a true result is stable (only the caller consumes).
   bool Peek();
 
   // Host-side producer probe: true when the next ring index looks free, so
@@ -71,18 +68,9 @@ class X9Inbox {
   // Returns the marker and the embedded send timestamp.
   bool TryReadStamped(Core& core, uint64_t* marker, uint64_t* send_time);
 
-  // ---- Owner-side admission control (cluster failover, DESIGN.md §11) ----
-  // Close() makes every subsequent TryWrite/CanWrite report "full" (the
-  // retry-after signal a sender sees from a killed or draining node) while
-  // TryRead/Peek keep working, so the owner drains what was already
-  // accepted. A producer that passed the closed check before Close() may
-  // still claim and publish ONE more index; the owner's shutdown drain
-  // therefore loops until Quiesced() (head == tail: every claimed index
-  // consumed) — only then can no acknowledged message be stranded.
-  void Close();
-  void Reopen();
-  bool closed() const;
-  // Host-side: true when every claimed ring index has been consumed.
+  // Host-side: true when every claimed ring index has been consumed (head
+  // == tail). The cluster's shutdown drain loops until every incoming
+  // channel reports this, so no acknowledged message is stranded.
   bool Quiesced();
 
  private:
@@ -96,9 +84,6 @@ class X9Inbox {
   }
 
   Machine& machine_;
-  // Host-side flag, not simulated state: models the node-local admission
-  // gate a dead/draining owner flips, without charging anyone cycles.
-  std::atomic<bool> closed_{false};
   uint32_t num_slots_;
   uint32_t msg_size_;
   uint64_t slot_bytes_;

@@ -9,19 +9,6 @@
 
 namespace prestore {
 
-namespace {
-
-// SplitMix64-style avalanche for per-hint drop decisions: a pure function
-// of (seed, core, ordinal), so decisions do not depend on cross-core timing.
-uint64_t MixHash(uint64_t a, uint64_t b, uint64_t c) {
-  uint64_t z = a ^ (b * 0x9e3779b97f4a7c15ULL) ^ (c * 0xbf58476d1ce4e5b9ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 FaultInjector::FaultInjector(const FaultPlan& plan) : seed_(plan.seed) {
   // Expand each spec with its own generator (derived from the plan seed and
   // the spec index) so that reordering specs does not reshuffle windows.
@@ -58,7 +45,6 @@ FaultInjector::FaultInjector(const FaultPlan& plan) : seed_(plan.seed) {
 
 void FaultInjector::Attach(Machine& machine) {
   machine.SetDeviceFaultHook(this);
-  machine.AddPrestoreHook(this);
 }
 
 double FaultInjector::ActiveMagnitude(FaultKind kind, uint64_t now) const {
@@ -80,21 +66,6 @@ double FaultInjector::ActiveMagnitude(FaultKind kind, uint64_t now) const {
 uint64_t FaultInjector::ExtraLatency(bool is_write, uint64_t now) {
   (void)is_write;
   return static_cast<uint64_t>(ActiveMagnitude(FaultKind::kLatencySpike, now));
-}
-
-double FaultInjector::BandwidthCostMultiplier(uint64_t now) {
-  const double m = ActiveMagnitude(FaultKind::kBandwidthThrottle, now);
-  return m > 1.0 ? m : 1.0;
-}
-
-uint32_t FaultInjector::StolenBufferBlocks(uint64_t now) {
-  return static_cast<uint32_t>(
-      ActiveMagnitude(FaultKind::kBufferPressure, now));
-}
-
-uint64_t FaultInjector::ExtraDirectoryLatency(uint64_t now) {
-  return static_cast<uint64_t>(
-      ActiveMagnitude(FaultKind::kDirectoryTimeout, now));
 }
 
 bool FaultInjector::NodeKilled(uint32_t node, uint64_t at) const {
@@ -149,32 +120,6 @@ void FaultInjector::RecordNodeRejection(uint32_t lane, FaultKind kind,
       RejectLogEntry{reject_log_[slot].size(), kind, node, at});
 }
 
-HintFate FaultInjector::OnPrestoreHint(uint8_t core, uint64_t line_addr,
-                                       PrestoreOp op, uint64_t now,
-                                       uint64_t* delay_cycles) {
-  (void)op;
-  const size_t slot = core % kMaxCores;
-  const uint64_t ordinal = hint_ordinal_[slot]++;
-
-  const double drop_p = ActiveMagnitude(FaultKind::kDropHint, now);
-  if (drop_p > 0.0) {
-    const uint64_t h = MixHash(seed_, core, ordinal);
-    const double u =
-        static_cast<double>(h >> 11) * 0x1.0p-53;  // uniform in [0, 1)
-    if (u < drop_p) {
-      hint_log_[slot].push_back(HintLogEntry{ordinal, line_addr, true, 0});
-      return HintFate::kDrop;
-    }
-  }
-  const uint64_t delay =
-      static_cast<uint64_t>(ActiveMagnitude(FaultKind::kDelayHint, now));
-  if (delay > 0) {
-    *delay_cycles += delay;
-    hint_log_[slot].push_back(HintLogEntry{ordinal, line_addr, false, delay});
-  }
-  return HintFate::kIssue;
-}
-
 std::string FaultInjector::EventLog() const {
   std::string log;
   char buf[160];
@@ -188,16 +133,6 @@ std::string FaultInjector::EventLog() const {
                   std::string(ToString(w.kind)).c_str(), w.start_cycle,
                   w.end_cycle, w.magnitude, w.node);
     log += buf;
-  }
-  for (size_t core = 0; core < kMaxCores; ++core) {
-    for (const HintLogEntry& e : hint_log_[core]) {
-      std::snprintf(buf, sizeof(buf),
-                    "hint core=%zu ordinal=%" PRIu64 " line=0x%" PRIx64
-                    " %s=%" PRIu64 "\n",
-                    core, e.ordinal, e.line_addr,
-                    e.dropped ? "dropped" : "delayed", e.delay_cycles);
-      log += buf;
-    }
   }
   for (size_t lane = 0; lane < kMaxCores; ++lane) {
     for (const RejectLogEntry& e : reject_log_[lane]) {

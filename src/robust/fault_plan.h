@@ -15,12 +15,7 @@
 namespace prestore {
 
 enum class FaultKind : uint8_t {
-  kLatencySpike,       // magnitude = extra cycles per device access
-  kBandwidthThrottle,  // magnitude = cost multiplier (>1 slows transfers)
-  kBufferPressure,     // magnitude = XPBuffer blocks stolen from a PmemDevice
-  kDirectoryTimeout,   // magnitude = extra cycles per directory access
-  kDropHint,           // magnitude = drop probability in [0, 1]
-  kDelayHint,          // magnitude = issue delay in cycles per hint
+  kLatencySpike,  // magnitude = extra cycles per device access
   // ---- Node-level faults (cluster serving, DESIGN.md §11). `node` selects
   // the victim; times are run-relative cycles (the cluster run anchors them
   // at its measured serving window, not at machine construction).
@@ -29,22 +24,12 @@ enum class FaultKind : uint8_t {
   kNodeDrain,    // node refuses new work for [start, end), then rejoins
 };
 
-constexpr size_t kNumFaultKinds = 9;
+constexpr size_t kNumFaultKinds = 4;
 
 constexpr std::string_view ToString(FaultKind kind) {
   switch (kind) {
     case FaultKind::kLatencySpike:
       return "latency_spike";
-    case FaultKind::kBandwidthThrottle:
-      return "bandwidth_throttle";
-    case FaultKind::kBufferPressure:
-      return "buffer_pressure";
-    case FaultKind::kDirectoryTimeout:
-      return "directory_timeout";
-    case FaultKind::kDropHint:
-      return "drop_hint";
-    case FaultKind::kDelayHint:
-      return "delay_hint";
     case FaultKind::kNodeKill:
       return "node_kill";
     case FaultKind::kNodeDegrade:

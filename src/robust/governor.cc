@@ -11,6 +11,15 @@ namespace prestore {
 
 namespace {
 
+// Device-pressure modulation: every kDeviceSamplePeriod hint attempts the
+// target device's internal backlog and write amplification are sampled;
+// while either is past its threshold, wasted writebacks hurt more, so the
+// rewrite backoff threshold is scaled down (more aggressive).
+constexpr uint32_t kDeviceSamplePeriod = 256;
+constexpr uint64_t kPressureBacklogCycles = 100000;
+constexpr double kPressureWriteAmp = 2.0;
+constexpr double kPressureRateScale = 0.5;
+
 double HeadroomOf(const DeviceConfig& dev, uint32_t line_size) {
   if (dev.kind == DeviceKind::kPmem && dev.internal_block_size > line_size) {
     return static_cast<double>(dev.internal_block_size) /
@@ -42,7 +51,7 @@ RegionBackoff& PrestoreGovernor::TouchRegion(uint64_t key) {
   }
   region_lru_.push_front(TrackedRegion{key, RegionBackoff{}});
   region_index_[key] = region_lru_.begin();
-  if (region_lru_.size() > config_.max_tracked_regions) {
+  if (region_lru_.size() > kMaxTrackedRegions) {
     region_index_.erase(region_lru_.back().key);
     region_lru_.pop_back();
     ++region_evictions_;
@@ -57,8 +66,8 @@ double PrestoreGovernor::HeadroomFor(uint64_t line_addr) const {
 void PrestoreGovernor::SampleDevicePressure(uint64_t now) {
   last_backlog_ = machine_.target().InternalBacklogAt(now);
   last_write_amp_ = machine_.target().Stats().WriteAmplification();
-  under_pressure_ = last_backlog_ >= config_.pressure_backlog_cycles ||
-                    last_write_amp_ >= config_.pressure_write_amp;
+  under_pressure_ = last_backlog_ >= kPressureBacklogCycles ||
+                    last_write_amp_ >= kPressureWriteAmp;
 }
 
 void PrestoreGovernor::EvaluateGate() {
@@ -69,9 +78,9 @@ void PrestoreGovernor::EvaluateGate() {
   const uint64_t window_fences = fences_ - gate_last_fences_;
   const double fence_rate = static_cast<double>(window_fences) /
                             static_cast<double>(window_attempts);
-  if (!gate_closed_ && fence_rate < config_.fence_rate_low) {
+  if (!gate_closed_ && fence_rate < kFenceRateLow) {
     gate_closed_ = true;
-  } else if (gate_closed_ && fence_rate > config_.fence_rate_high) {
+  } else if (gate_closed_ && fence_rate > kFenceRateHigh) {
     gate_closed_ = false;
   }
   gate_last_attempts_ = attempts_;
@@ -79,13 +88,9 @@ void PrestoreGovernor::EvaluateGate() {
 }
 
 HintFate PrestoreGovernor::OnPrestoreHint(uint8_t core, uint64_t line_addr,
-                                          PrestoreOp op, uint64_t now,
-                                          uint64_t* delay_cycles) {
-  (void)core;
-  (void)op;
-  (void)delay_cycles;
+                                          PrestoreOp op, uint64_t now) {
   ++attempts_;
-  if (attempts_ % config_.device_sample_period == 0) {
+  if (attempts_ % kDeviceSamplePeriod == 0) {
     SampleDevicePressure(now);
   }
   EvaluateGate();
@@ -99,11 +104,10 @@ HintFate PrestoreGovernor::OnPrestoreHint(uint8_t core, uint64_t line_addr,
     return HintFate::kDrop;
   }
 
-  // Monitored mode: the adaptive region monitor replaces the fixed-shift
-  // backoff table as the per-region decision source (gate and pressure
-  // sampling above still apply). A null advisor falls back to the fixed
-  // machinery so a misconfigured setup degrades, not crashes.
-  if (config_.policy == GovernorPolicy::kMonitored && advisor_ != nullptr) {
+  // An installed advisor (the adaptive region monitor) replaces the
+  // fixed-shift backoff table as the per-region decision source (gate and
+  // pressure sampling above still apply).
+  if (advisor_ != nullptr) {
     if (advisor_->AdviseHint(core, line_addr, op, now) == HintFate::kDrop) {
       ++suppressed_by_monitor_;
       return HintFate::kDrop;
@@ -112,11 +116,10 @@ HintFate PrestoreGovernor::OnPrestoreHint(uint8_t core, uint64_t line_addr,
     return HintFate::kIssue;
   }
 
-  RegionBackoff& region = TouchRegion(line_addr >> config_.region_shift);
-  const double threshold = under_pressure_
-                               ? config_.backoff_rewrite_rate *
-                                     config_.pressure_rate_scale
-                               : config_.backoff_rewrite_rate;
+  RegionBackoff& region = TouchRegion(line_addr >> kRegionShift);
+  const double threshold =
+      under_pressure_ ? config_.backoff_rewrite_rate * kPressureRateScale
+                      : config_.backoff_rewrite_rate;
   if (!region.OnHint(config_, threshold)) {
     ++suppressed_by_region_;
     return HintFate::kDrop;
@@ -129,20 +132,20 @@ void PrestoreGovernor::OnUselessHint(uint8_t core, uint64_t line_addr,
                                      PrestoreOp op) {
   (void)core;
   (void)op;
-  if (config_.policy == GovernorPolicy::kMonitored && advisor_ != nullptr) {
+  if (advisor_ != nullptr) {
     return;  // the monitor observes useless hints through its own hook
   }
-  TouchRegion(line_addr >> config_.region_shift).OnUseless();
+  TouchRegion(line_addr >> kRegionShift).OnUseless();
 }
 
 void PrestoreGovernor::OnRewriteAfterClean(uint8_t core, uint64_t line_addr,
                                            uint64_t now) {
   (void)core;
   (void)now;
-  if (config_.policy == GovernorPolicy::kMonitored && advisor_ != nullptr) {
+  if (advisor_ != nullptr) {
     return;  // the monitor observes rewrites through its own hook
   }
-  TouchRegion(line_addr >> config_.region_shift).OnRewrite();
+  TouchRegion(line_addr >> kRegionShift).OnRewrite();
 }
 
 void PrestoreGovernor::OnFence(uint8_t core, uint64_t now) {
@@ -170,7 +173,7 @@ PrestoreGovernor::Snapshot PrestoreGovernor::TakeSnapshot() const {
   for (const TrackedRegion& tracked : region_lru_) {
     const RegionBackoff& region = tracked.backoff;
     RegionSnapshot rs;
-    rs.region_base = tracked.key << config_.region_shift;
+    rs.region_base = tracked.key << kRegionShift;
     rs.state = region.state();
     rs.admitted = region.admitted();
     rs.suppressed = region.suppressed();

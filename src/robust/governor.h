@@ -39,11 +39,10 @@ namespace prestore {
 
 class Machine;
 
-// Per-region verdict source for GovernorPolicy::kMonitored: replaces the
-// fixed-shift RegionBackoff table with an external advisor (the adaptive
-// region monitor, src/monitor/region_monitor.h). Called under the
-// governor's lock, once per line-granular hint that survived the global
-// gate; must not call back into the governor.
+// Per-region verdict source that replaces the fixed-shift RegionBackoff
+// table when installed (the adaptive region monitor,
+// src/monitor/region_monitor.h). Called once per line-granular hint that
+// survived the global gate; must not call back into the governor.
 class RegionAdvisor {
  public:
   virtual ~RegionAdvisor() = default;
@@ -57,9 +56,10 @@ class PrestoreGovernor : public PrestoreHook {
   // configuration.
   explicit PrestoreGovernor(Machine& machine, GovernorConfig config = {});
 
-  // Installs the per-region advisor consulted in GovernorPolicy::kMonitored
-  // mode (nullptr falls back to the fixed region machinery). Set before
-  // Attach(); the advisor must outlive the governed runs.
+  // Installs the per-region advisor: with one installed the governor asks
+  // it instead of running its own region table (nullptr restores the
+  // table). Set before Attach(); the advisor must outlive the governed
+  // runs.
   void SetRegionAdvisor(RegionAdvisor* advisor) { advisor_ = advisor; }
 
   // Registers this governor on the machine's pre-store issue path. The
@@ -68,7 +68,7 @@ class PrestoreGovernor : public PrestoreHook {
 
   // ---- PrestoreHook ----
   HintFate OnPrestoreHint(uint8_t core, uint64_t line_addr, PrestoreOp op,
-                          uint64_t now, uint64_t* delay_cycles) override;
+                          uint64_t now) override;
   void OnUselessHint(uint8_t core, uint64_t line_addr, PrestoreOp op) override;
   void OnRewriteAfterClean(uint8_t core, uint64_t line_addr,
                            uint64_t now) override;
@@ -93,7 +93,7 @@ class PrestoreGovernor : public PrestoreHook {
     uint64_t suppressed = 0;
     uint64_t suppressed_by_gate = 0;    // global useless-overhead gate
     uint64_t suppressed_by_region = 0;  // per-region rewrite/useless backoff
-    uint64_t suppressed_by_monitor = 0; // kMonitored advisor verdicts
+    uint64_t suppressed_by_monitor = 0; // region advisor verdicts
     uint64_t region_evictions = 0;      // LRU cap displacements
     uint64_t fences = 0;
     bool gate_closed = false;      // global gate currently suppressing
@@ -110,6 +110,13 @@ class PrestoreGovernor : public PrestoreHook {
 
   const GovernorConfig& config() const { return config_; }
 
+  // Most-recently-touched regions kept in the region table; a sparse
+  // address walk (one hint per region over a huge span) evicts the least
+  // recently touched entry instead of growing without limit. An evicted
+  // region that is touched again restarts from a fresh kOpen state; the
+  // governor counts evictions so benches can see when the cap binds.
+  static constexpr uint32_t kMaxTrackedRegions = 4096;
+
  private:
   // Target-device amplification headroom: internal block bytes per cache
   // line. > 1 means cleans can reduce media traffic; == 1 means they cannot.
@@ -120,7 +127,7 @@ class PrestoreGovernor : public PrestoreHook {
 
   // The bounded region table: an LRU list of (region key, backoff state)
   // with an index by key. Touching a region splices it to the front;
-  // exceeding max_tracked_regions evicts the back (least recently touched)
+  // exceeding kMaxTrackedRegions evicts the back (least recently touched)
   // and counts it. Replaces the former unbounded std::map.
   struct TrackedRegion {
     uint64_t key;
@@ -136,7 +143,7 @@ class PrestoreGovernor : public PrestoreHook {
 
   std::list<TrackedRegion> region_lru_;  // front = most recently touched
   std::unordered_map<uint64_t, std::list<TrackedRegion>::iterator>
-      region_index_;  // key: addr >> region_shift
+      region_index_;  // key: addr >> kRegionShift
 
   // Global counters.
   uint64_t attempts_ = 0;

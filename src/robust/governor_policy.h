@@ -4,7 +4,7 @@
 // governor (src/robust/governor.h) feeds it simulated signals, and the
 // hardware wrapper (src/hw/hw_prestore.h) feeds it software-observed ones.
 //
-// Per region (an aligned 2^region_shift-byte address range) the policy runs
+// Per region (an aligned 2^kRegionShift-byte address range) the policy runs
 // a two-state machine:
 //
 //   kOpen    — hints are admitted. Every `window_hints` admitted hints the
@@ -28,30 +28,30 @@
 
 namespace prestore {
 
-// How the governor reaches per-region verdicts. kFixedRegions runs the
-// RegionBackoff hysteresis below over fixed 2^region_shift-byte regions;
-// kMonitored delegates the per-region decision to an installed
-// RegionAdvisor (the adaptive monitor, src/monitor) — the global gate and
-// device-pressure sampling apply in both modes.
-enum class GovernorPolicy : uint8_t {
-  kFixedRegions,
-  kMonitored,
-};
+// Regions are 2^kRegionShift bytes (64 KiB): coarse enough that streaming
+// workloads reach a verdict early in each region, fine enough to isolate a
+// misused scratch buffer from its neighbours.
+inline constexpr uint64_t kRegionShift = 16;
+
+// Useless-rate hysteresis: back off when almost every hint moved nothing;
+// probes must come back at or below the recovered rate to reopen.
+inline constexpr double kBackoffUselessRate = 0.9;
+inline constexpr double kRecoveredUselessRate = 0.5;
+
+// Global useless-overhead gate band: on devices with no write-amplification
+// headroom (internal block == cache line) pre-stores can only help by
+// overlapping publication with fences; a workload that (almost) never
+// fences gains nothing from them (§7.4.1). The gate closes when the fence
+// rate per hint attempt falls below the low rate and reopens above the
+// high one.
+inline constexpr double kFenceRateLow = 1.0 / 4096.0;
+inline constexpr double kFenceRateHigh = 1.0 / 1024.0;
 
 struct GovernorConfig {
-  GovernorPolicy policy = GovernorPolicy::kFixedRegions;
-
-  // Regions are 2^region_shift bytes (default 64 KiB): coarse enough that
-  // streaming workloads reach a verdict early in each region, fine enough
-  // to isolate a misused scratch buffer from its neighbours.
-  uint64_t region_shift = 16;
-
   // ---- Per-region hysteresis (rewrite / useless regimes) ----
   uint32_t window_hints = 64;          // admitted hints per evaluation
   double backoff_rewrite_rate = 0.5;   // enter backoff at >= this
   double reopen_rewrite_rate = 0.125;  // probes must reach <= this
-  double backoff_useless_rate = 0.9;   // almost every hint moved nothing
-  double reopen_useless_rate = 0.5;
   uint32_t probe_period = 64;  // in backoff, admit every Nth hint
   uint32_t probe_window = 8;   // probes per reopen evaluation
   // Consecutive hot windows required before the FIRST backoff. Debounces
@@ -66,39 +66,14 @@ struct GovernorConfig {
   uint32_t backoff_confirm_windows = 2;
 
   // ---- Global useless-overhead gate ----
-  // On devices with no write-amplification headroom (internal block ==
-  // cache line) pre-stores can only help by overlapping publication with
-  // fences; a workload that (almost) never fences gains nothing from them
-  // (§7.4.1). Evaluated every `global_eval_window` hint attempts over the
-  // fences observed in that window, with hysteresis between the two rates.
+  // Evaluated every `global_eval_window` hint attempts over the fences
+  // observed in that window (the kFenceRateLow/kFenceRateHigh band).
   uint64_t global_eval_window = 256;
-  double fence_rate_low = 1.0 / 4096.0;   // gate closes below this
-  double fence_rate_high = 1.0 / 1024.0;  // ...reopens above this
-
-  // ---- Device-pressure modulation ----
-  // When the target device reports a large internal backlog or high write
-  // amplification, wasted writebacks hurt more, so the rewrite backoff
-  // threshold is scaled down (more aggressive) while pressure persists.
-  uint32_t device_sample_period = 256;     // attempts between samples
-  uint64_t pressure_backlog_cycles = 100000;
-  double pressure_write_amp = 2.0;
-  double pressure_rate_scale = 0.5;
-
-  // ---- Region-table bound (kFixedRegions) ----
-  // Most-recently-touched regions kept in the per-region table; a sparse
-  // address walk (one hint per 64 KiB region over a huge span) evicts the
-  // least recently touched entry instead of growing without limit. An
-  // evicted region that is touched again restarts from a fresh kOpen state;
-  // the governor counts evictions so benches can see when the cap binds.
-  uint32_t max_tracked_regions = 4096;
 
   // Empty string when the configuration is coherent; otherwise a
   // human-readable description of the first problem found (the
   // ServeConfig::Validate idiom — PrestoreGovernor's constructor throws it).
   std::string Validate() const {
-    if (region_shift < 6 || region_shift > 40) {
-      return "region_shift must be in [6, 40] (a cache line to 1 TiB)";
-    }
     if (window_hints == 0) {
       return "window_hints must be > 0";
     }
@@ -106,11 +81,6 @@ struct GovernorConfig {
         reopen_rewrite_rate < 0.0 ||
         reopen_rewrite_rate > backoff_rewrite_rate) {
       return "rewrite rates must satisfy 0 <= reopen <= backoff <= 1";
-    }
-    if (backoff_useless_rate < 0.0 || backoff_useless_rate > 1.0 ||
-        reopen_useless_rate < 0.0 ||
-        reopen_useless_rate > backoff_useless_rate) {
-      return "useless rates must satisfy 0 <= reopen <= backoff <= 1";
     }
     if (probe_period == 0 || probe_window == 0) {
       return "probe_period and probe_window must be > 0";
@@ -120,18 +90,6 @@ struct GovernorConfig {
     }
     if (global_eval_window == 0) {
       return "global_eval_window must be > 0";
-    }
-    if (fence_rate_low < 0.0 || fence_rate_high < fence_rate_low) {
-      return "fence rates must satisfy 0 <= low <= high";
-    }
-    if (device_sample_period == 0) {
-      return "device_sample_period must be > 0";
-    }
-    if (pressure_rate_scale <= 0.0 || pressure_rate_scale > 1.0) {
-      return "pressure_rate_scale must be in (0, 1]";
-    }
-    if (max_tracked_regions == 0) {
-      return "max_tracked_regions must be > 0";
     }
     return "";
   }
@@ -158,7 +116,7 @@ class RegionBackoff {
             static_cast<double>(window_useless_) / window_hints_;
         window_hints_ = window_rewrites_ = window_useless_ = 0;
         if (rewrite_rate >= backoff_rewrite_rate ||
-            useless_rate >= cfg.backoff_useless_rate) {
+            useless_rate >= kBackoffUselessRate) {
           const uint32_t needed =
               backoffs_ > 0 ? 1 : cfg.backoff_confirm_windows;
           if (++hot_windows_ >= needed) {
@@ -186,7 +144,7 @@ class RegionBackoff {
           static_cast<double>(probe_useless_) / probe_count_;
       probe_count_ = probe_rewrites_ = probe_useless_ = 0;
       if (rewrite_rate <= cfg.reopen_rewrite_rate &&
-          useless_rate <= cfg.reopen_useless_rate) {
+          useless_rate <= kRecoveredUselessRate) {
         state_ = State::kOpen;
         ++reopens_;
         window_hints_ = 1;

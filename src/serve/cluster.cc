@@ -171,7 +171,7 @@ KvCluster::KvCluster(const ServeConfig& config,
     }
     for (uint32_t d = 0; d < ndrivers; ++d) {
       node->responses.push_back(std::make_unique<X9Inbox>(
-          m, config_.response_slots, sizeof(ResponseMsg), Region::kDram));
+          m, kResponseSlots, sizeof(ResponseMsg), Region::kDram));
     }
     if (config_.governed) {
       node->governor = std::make_unique<PrestoreGovernor>(m, config_.governor);
@@ -194,8 +194,8 @@ KvCluster::KvCluster(const ServeConfig& config,
       for (uint32_t s = 0; s < nshards; ++s) {
         auto ch = std::make_unique<ReplChannel>();
         ch->inbox = std::make_unique<X9Inbox>(
-            *nodes_[to]->machine, config_.repl_queue_slots,
-            sizeof(RequestMsg), Region::kDram);
+            *nodes_[to]->machine, kReplQueueSlots, sizeof(RequestMsg),
+            Region::kDram);
         ch->ingress_core = nshards + ndrivers + peer_slot * nshards + s;
         channels_[from][to].push_back(std::move(ch));
       }
@@ -250,8 +250,8 @@ void KvCluster::Preload() {
 
 void KvCluster::BeginRun(uint64_t origin) {
   origin_ = origin;
-  drivers_done_.store(false, std::memory_order_release);
-  workers_send_done_.store(0, std::memory_order_release);
+  drivers_done_ = false;
+  workers_send_done_ = 0;
   applied_built_ = false;
   applied_sets_.clear();
   for (auto& node : nodes_) {
@@ -276,9 +276,7 @@ void KvCluster::BeginRun(uint64_t origin) {
   }
 }
 
-void KvCluster::DriversDone() {
-  drivers_done_.store(true, std::memory_order_release);
-}
+void KvCluster::DriversDone() { drivers_done_ = true; }
 
 // ---------------------------------------------------------- client side
 
@@ -449,7 +447,7 @@ void KvCluster::Respond(Core& core, uint32_t node, const ResponseMsg& resp) {
   X9Inbox& out = *nodes_[node]->responses[driver];
   // Transiently full is fine (the driver keeps draining); the wait is
   // free so a blocked worker's clock doesn't inflate later requests.
-  while (!out.TryWrite(core, &resp, config_.response_prestore)) {
+  while (!out.TryWrite(core, &resp, kResponsePrestore)) {
     while (!out.CanWrite()) {
       core.EndSlice();
     }
@@ -581,8 +579,7 @@ void KvCluster::WorkerLoop(uint32_t node, uint32_t shard) {
     // EXCEPT when only a future hint replay remains: a demand-driven clock
     // would never reach the rejoin time on its own, so leap toward it in
     // bounded chunks once no more client work can arrive.
-    if (drivers_done_.load(std::memory_order_acquire) &&
-        !sh.requests->Peek()) {
+    if (drivers_done_ && !sh.requests->Peek()) {
       if (unresolved) {
         const uint64_t target = origin_ + next_replay;
         if (core.now() < target) {
@@ -592,13 +589,11 @@ void KvCluster::WorkerLoop(uint32_t node, uint32_t shard) {
       }
       if (!send_done) {
         send_done = true;
-        workers_send_done_.fetch_add(1, std::memory_order_acq_rel);
+        ++workers_send_done_;
       }
-      if (workers_send_done_.load(std::memory_order_acquire) ==
-          total_workers) {
+      if (workers_send_done_ == total_workers) {
         // No sender will produce again; drain until every incoming channel
-        // is quiesced (a straggler may publish one message after our last
-        // Peek — the X9 Close contract's reasoning applies here too).
+        // is quiesced (every claimed ring index consumed).
         bool quiesced = true;
         for (uint32_t from = 0; from < num_nodes(); ++from) {
           if (from != node) {

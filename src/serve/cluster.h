@@ -32,7 +32,6 @@
 #ifndef SRC_SERVE_CLUSTER_H_
 #define SRC_SERVE_CLUSTER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -75,6 +74,16 @@ class ShardRouter {
   uint32_t replication_;
 };
 
+// Capped exponential failover backoff: a node marked unhealthy is probed
+// again only after kFailoverBackoffBaseCycles << excess failures, at most
+// kFailoverBackoffCapCycles; a request's full pass over its replica set
+// backs off the same way before the next pass.
+inline constexpr uint64_t kFailoverBackoffBaseCycles = 2000;
+inline constexpr uint64_t kFailoverBackoffCapCycles = 64000;
+
+// Per (peer, shard) replication channel capacity (X9Inbox, power of two).
+inline constexpr uint32_t kReplQueueSlots = 64;
+
 // Router-side per-node health: consecutive retry-after/refused counts and
 // capped exponential probe backoff. One instance per LOGICAL CLIENT (each
 // client learns about failures through its own requests), which keeps the
@@ -84,10 +93,7 @@ class ShardRouter {
 class NodeHealthView {
  public:
   NodeHealthView(uint32_t nodes, const ServeConfig& cfg)
-      : state_(nodes),
-        unhealthy_after_(cfg.unhealthy_after),
-        base_(cfg.failover_backoff_base_cycles),
-        cap_(cfg.failover_backoff_cap_cycles) {}
+      : state_(nodes), unhealthy_after_(cfg.unhealthy_after) {}
 
   // May this client try `node` for an attempt decided at cycle `at`?
   bool Usable(uint32_t node, uint64_t at) const {
@@ -101,7 +107,8 @@ class NodeHealthView {
     if (s.consecutive >= unhealthy_after_) {
       const uint32_t excess =
           std::min<uint32_t>(s.consecutive - unhealthy_after_, 16);
-      const uint64_t backoff = std::min(cap_, base_ << excess);
+      const uint64_t backoff = std::min(kFailoverBackoffCapCycles,
+                                        kFailoverBackoffBaseCycles << excess);
       s.next_probe = at + backoff;
     }
   }
@@ -115,8 +122,6 @@ class NodeHealthView {
   };
   std::vector<State> state_;
   uint32_t unhealthy_after_;
-  uint64_t base_;
-  uint64_t cap_;
 };
 
 enum class SubmitStatus : uint8_t {
@@ -301,8 +306,8 @@ class KvCluster {
   std::vector<std::vector<std::vector<std::unique_ptr<ReplChannel>>>>
       channels_;
   uint64_t origin_ = 0;
-  std::atomic<bool> drivers_done_{false};
-  std::atomic<uint32_t> workers_send_done_{0};
+  bool drivers_done_ = false;
+  uint32_t workers_send_done_ = 0;
   bool preloaded_ = false;
 
   // Lazy post-run cache of per-node applied-token sets.

@@ -261,8 +261,8 @@ class Driver {
         return true;
       }
       const uint32_t shift = std::min<uint32_t>(p.pass - 1, 16);
-      p.decision += std::min(cfg_.failover_backoff_cap_cycles,
-                             cfg_.failover_backoff_base_cycles << shift);
+      p.decision += std::min(kFailoverBackoffCapCycles,
+                             kFailoverBackoffBaseCycles << shift);
     }
   }
 

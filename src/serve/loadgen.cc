@@ -1,7 +1,6 @@
 #include "src/serve/loadgen.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 
 #include "src/serve/schedule_window.h"
@@ -12,6 +11,10 @@
 namespace prestore {
 
 namespace {
+
+// Backpressure: a full admission queue rejects the submit (TryWrite returns
+// false) and the client retries after this many cycles.
+constexpr uint64_t kRetryBackoffCycles = 200;
 
 // Per-client accounting, merged after the run (one entry per client core,
 // so no synchronization is needed while running).
@@ -39,7 +42,7 @@ void ReadValue(Core& core, FuncToken func, SimAddr value, uint32_t size) {
 class ClientSession {
  public:
   ClientSession(KvServer& server, Core& core, uint32_t client,
-                std::atomic<uint64_t>& latest_key, FuncToken read_func,
+                uint64_t& latest_key, FuncToken read_func,
                 ScheduleWindow& board, ClientCounters& out)
       : server_(server),
         core_(core),
@@ -123,7 +126,7 @@ class ClientSession {
           board_.Advance(client_, sent == total ? UINT64_MAX : next_send);
         } else {
           ++out_.retries;
-          core_.Execute(cfg_.retry_backoff_cycles);
+          core_.Execute(kRetryBackoffCycles);
         }
         continue;
       }
@@ -144,14 +147,14 @@ class ClientSession {
   // freshly inserted key).
   bool NextOp(uint64_t* key) {
     if (cfg_.ycsb.workload == YcsbWorkload::kD) {
-      const uint64_t latest = latest_key_.load(std::memory_order_relaxed);
+      const uint64_t latest = latest_key_;
       *key = latest - std::min<uint64_t>(zipf_.Next(rng_), latest - 1);
     } else {
       *key = zipf_.NextScrambled(rng_) + 1;
     }
     const bool is_read = rng_.NextDouble() < read_ratio_;
     if (!is_read && cfg_.ycsb.workload == YcsbWorkload::kD) {
-      *key = latest_key_.fetch_add(1, std::memory_order_relaxed) + 1;
+      *key = ++latest_key_;
     }
     return is_read;
   }
@@ -166,7 +169,7 @@ class ClientSession {
     req.submit_time = core_.now();
     while (!server_.TrySubmit(core_, req)) {
       ++out_.retries;
-      core_.Execute(cfg_.retry_backoff_cycles);
+      core_.Execute(kRetryBackoffCycles);
     }
     ResponseMsg resp;
     // Free wait (see RunOpenLoop): the Peek gate keeps it free of per-poll
@@ -208,7 +211,7 @@ class ClientSession {
   Core& core_;
   const ServeConfig& cfg_;
   const uint32_t client_;
-  std::atomic<uint64_t>& latest_key_;
+  uint64_t& latest_key_;  // workload D's insert counter, shared
   const FuncToken read_func_;
   ScheduleWindow& board_;
   ClientCounters& out_;
@@ -239,7 +242,7 @@ ServeResult ServeYcsb(Machine& machine, KvServer& server) {
   // bound ScheduleBoard enforced, now O(1) per advance (schedule_window.h).
   ScheduleWindow board(nclients, cfg.open_loop_interval,
                        std::max(1u, cfg.max_inflight), machine.GlobalTime());
-  std::atomic<uint64_t> latest_key{cfg.ycsb.num_keys};
+  uint64_t latest_key = cfg.ycsb.num_keys;
   const uint64_t cycles = RunParallel(
       machine, nshards + nclients, [&](Core& core, uint32_t tid) {
         if (tid < nshards) {

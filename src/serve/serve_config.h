@@ -13,6 +13,13 @@
 
 namespace prestore {
 
+// Per-client response queue capacity (an X9Inbox, so a power of two).
+inline constexpr uint32_t kResponseSlots = 16;
+
+// Response publication: demote (reply buffers are reused and read by
+// another core — DirtBuster's recommendation for §7.3.2 buffers).
+inline constexpr MsgPrestore kResponsePrestore = MsgPrestore::kDemote;
+
 // Which KV index backs each shard.
 enum class ServeIndex : uint8_t {
   kClht,
@@ -31,9 +38,8 @@ struct ServeConfig {
   ServeIndex index = ServeIndex::kClht;
   uint32_t num_shards = 2;
 
-  // Queue capacities; X9Inbox requires powers of two.
-  uint32_t queue_slots = 64;     // per-shard admission queue
-  uint32_t response_slots = 16;  // per-client response queue
+  // Per-shard admission queue capacity; X9Inbox requires a power of two.
+  uint32_t queue_slots = 64;
 
   // Request batching: a shard worker that has admitted one request keeps
   // polling for more until it holds `batch_max` of them or the batch has
@@ -44,10 +50,6 @@ struct ServeConfig {
   uint64_t batch_window_cycles = 4000;
   bool batched_clean = true;
 
-  // Response publication: demote by default (reply buffers are reused and
-  // read by another core — DirtBuster's recommendation for §7.3.2 buffers).
-  MsgPrestore response_prestore = MsgPrestore::kDemote;
-
   // Online policy loop: when set, the server owns a PrestoreGovernor
   // attached to the machine, and aligns each shard's value arena to the
   // governor's region size so per-shard rewrite/useless telemetry lands in
@@ -57,25 +59,21 @@ struct ServeConfig {
 
   // Adaptive monitoring (DESIGN.md §13): when set (requires `governed`),
   // the server owns a RegionMonitor with one monitored range per shard
-  // value arena, runs the governor in GovernorPolicy::kMonitored mode with
-  // the monitor as its per-region advisor, and gates the batch-close clean
-  // sweep host-side on the monitor's scheme verdicts (a suppressed shard
-  // region skips its sweep Prestore calls entirely, probes excepted).
+  // value arena, installs it as the governor's per-region advisor, and
+  // gates the batch-close clean sweep host-side on the monitor's verdicts
+  // (a suppressed shard region skips its sweep Prestore calls entirely,
+  // probes excepted).
   bool monitored = false;
   MonitorConfig monitor;
 
   // Load generation. Closed loop: each client keeps exactly one request
   // outstanding. Open loop: clients fire a request every
   // `open_loop_interval` cycles (up to `max_inflight` outstanding, which
-  // must fit the response queue or the shard worker could wedge on a full
-  // reply ring).
+  // must fit the kResponseSlots response queue or the shard worker could
+  // wedge on a full reply ring).
   bool open_loop = false;
   uint64_t open_loop_interval = 2000;
   uint32_t max_inflight = 4;
-
-  // Backpressure: a full admission queue rejects the submit (TryWrite
-  // returns false) and the client retries after this many cycles.
-  uint64_t retry_backoff_cycles = 200;
 
   // ---- Cluster serving (KvCluster, DESIGN.md §11). Ignored by the
   // single-machine KvServer; validated whenever cluster_nodes > 1. ----
@@ -87,17 +85,13 @@ struct ServeConfig {
   uint32_t replication_factor = 1;
   uint32_t virtual_nodes = 64;
   uint64_t ring_seed = 0x5ca1ab1e;
-  // Per (peer, shard) replication channel capacity (X9Inbox, power of two).
-  uint32_t repl_queue_slots = 64;
   // One-way inter-node hop, charged on replication sends, on responses, and
   // on each failed attempt's refusal round trip (2x).
   uint64_t net_latency_cycles = 500;
   // Router-side health tracking: a node is marked unhealthy after this many
   // CONSECUTIVE retry-after/refused results, and is then only probed again
-  // after a capped exponential backoff (base << excess-failures, <= cap).
+  // after a capped exponential backoff (NodeHealthView, cluster.h).
   uint32_t unhealthy_after = 2;
-  uint64_t failover_backoff_base_cycles = 2000;
-  uint64_t failover_backoff_cap_cycles = 64000;
   // A request is abandoned (recorded as failed, never silently dropped)
   // after this many full passes over its replica set.
   uint32_t max_attempts = 8;
@@ -130,9 +124,6 @@ struct ServeConfig {
     if (queue_slots == 0 || (queue_slots & (queue_slots - 1)) != 0) {
       return "queue_slots must be a power of two";
     }
-    if (response_slots == 0 || (response_slots & (response_slots - 1)) != 0) {
-      return "response_slots must be a power of two";
-    }
     if (batch_max == 0) {
       return "batch_max must be > 0";
     }
@@ -145,7 +136,7 @@ struct ServeConfig {
     if (monitored) {
       if (!governed) {
         return "monitored requires governed (the monitor advises the "
-               "governor's kMonitored mode)";
+               "governor)";
       }
       const std::string monitor_error = monitor.Validate();
       if (!monitor_error.empty()) {
@@ -156,9 +147,10 @@ struct ServeConfig {
       if (open_loop_interval == 0) {
         return "open_loop_interval must be > 0";
       }
-      if (max_inflight == 0 || max_inflight > response_slots) {
-        return "max_inflight must be in [1, response_slots] (a shard worker "
-               "blocks on a full response queue)";
+      if (max_inflight == 0 || max_inflight > kResponseSlots) {
+        return "max_inflight must be in [1, " +
+               std::to_string(kResponseSlots) +
+               "] (a shard worker blocks on a full response queue)";
       }
     }
     if (cluster_nodes > 1) {
@@ -177,14 +169,6 @@ struct ServeConfig {
       }
       if (virtual_nodes == 0 || (virtual_nodes & (virtual_nodes - 1)) != 0) {
         return "virtual_nodes must be a power of two";
-      }
-      if (repl_queue_slots == 0 ||
-          (repl_queue_slots & (repl_queue_slots - 1)) != 0) {
-        return "repl_queue_slots must be a power of two";
-      }
-      if (failover_backoff_cap_cycles == 0 ||
-          failover_backoff_cap_cycles < failover_backoff_base_cycles) {
-        return "failover_backoff_cap_cycles must be nonzero and >= the base";
       }
       if (unhealthy_after == 0) {
         return "unhealthy_after must be > 0";

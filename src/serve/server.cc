@@ -34,7 +34,7 @@ std::unique_ptr<ValueArena> MakeShardArena(Machine& machine,
   // same time, and the resulting one-DIMM hotspot queues the whole server
   // into a backlog the open-loop load never lets drain.
   const uint64_t arena_align =
-      config.governed ? 1ULL << config.governor.region_shift : 0;
+      config.governed ? 1ULL << kRegionShift : 0;
   const uint64_t interleave_period =
       static_cast<uint64_t>(machine.config().target.interleave_bytes) *
       std::max(1u, machine.config().target.interleave_dimms);
@@ -103,20 +103,16 @@ KvServer::KvServer(Machine& machine, const ServeConfig& config)
   }
   for (uint32_t c = 0; c < config_.ycsb.threads; ++c) {
     responses_.push_back(std::make_unique<X9Inbox>(
-        machine_, config_.response_slots, sizeof(ResponseMsg),
-        Region::kDram));
+        machine_, kResponseSlots, sizeof(ResponseMsg), Region::kDram));
   }
   if (config_.governed) {
+    governor_ =
+        std::make_unique<PrestoreGovernor>(machine_, config_.governor);
     if (config_.monitored) {
       // Monitored mode (DESIGN.md §13): the governor delegates per-region
       // verdicts to the adaptive monitor, which covers each shard's value
       // arena as its own monitored range — disjoint spans, so one monitor
       // is N per-shard monitors with a shared budget.
-      config_.governor.policy = GovernorPolicy::kMonitored;
-    }
-    governor_ =
-        std::make_unique<PrestoreGovernor>(machine_, config_.governor);
-    if (config_.monitored) {
       monitor_ = std::make_unique<RegionMonitor>(machine_, config_.monitor);
       for (const Shard& shard : shards_) {
         monitor_->Monitor(shard.arena->span_base(),
@@ -161,15 +157,13 @@ bool KvServer::TryGetResponse(Core& core, uint32_t client, ResponseMsg* out) {
 }
 
 void KvServer::BeginRun() {
-  clients_done_.store(0, std::memory_order_release);
+  clients_done_ = 0;
   for (Shard& shard : shards_) {
     shard.batches = 0;
   }
 }
 
-void KvServer::ClientDone() {
-  clients_done_.fetch_add(1, std::memory_order_release);
-}
+void KvServer::ClientDone() { ++clients_done_; }
 
 void KvServer::SetWorkload(YcsbWorkload workload, uint32_t ops_per_thread) {
   config_.ycsb.workload = workload;
@@ -192,8 +186,7 @@ void KvServer::ShardWorkerLoop(Core& core, uint32_t shard_idx) {
     // ClientDone() after receiving every response, so all their requests
     // were consumed before the flag rose — a failed probe that follows an
     // observed "all done" means the queue is empty forever.
-    const bool all_done =
-        clients_done_.load(std::memory_order_acquire) == nclients;
+    const bool all_done = clients_done_ == nclients;
     batch.clear();
     if (shard.requests->Peek() && shard.requests->TryRead(core, &req)) {
       batch.push_back(req);
@@ -265,7 +258,7 @@ void KvServer::ShardWorkerLoop(Core& core, uint32_t shard_idx) {
       // free (CanWrite + end of slice): blocking on the client must not
       // inflate this worker's clock, which times every later completion.
       X9Inbox& out = *responses_[r.client];
-      while (!out.TryWrite(core, &resp, config_.response_prestore)) {
+      while (!out.TryWrite(core, &resp, kResponsePrestore)) {
         while (!out.CanWrite()) {
           core.EndSlice();
         }

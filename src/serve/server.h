@@ -14,7 +14,6 @@
 #ifndef SRC_SERVE_SERVER_H_
 #define SRC_SERVE_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -81,7 +80,7 @@ class KvServer {
   bool preloaded() const { return preloaded_; }
 
   // Client side. TrySubmit routes by req.key; false = admission queue full
-  // (backpressure — retry after config().retry_backoff_cycles).
+  // (backpressure — the client retries after a fixed backoff, loadgen.cc).
   bool TrySubmit(Core& core, const RequestMsg& req);
   bool TryGetResponse(Core& core, uint32_t client, ResponseMsg* out);
   // Host-side probe of the client's response inbox (no simulated cost; see
@@ -135,7 +134,7 @@ class KvServer {
   std::vector<std::unique_ptr<X9Inbox>> responses_;  // one per client
   std::unique_ptr<PrestoreGovernor> governor_;
   std::unique_ptr<RegionMonitor> monitor_;
-  std::atomic<uint32_t> clients_done_{0};
+  uint32_t clients_done_ = 0;
   bool preloaded_ = false;
 
   FuncToken craft_func_;

@@ -16,8 +16,8 @@
 // instead of striding across five parallel arrays. The layout is a pure
 // host-side transform: replacement decisions, RNG draw order and every
 // simulated outcome are bit-identical to the old parallel-array form
-// (pinned by tests/cache_layout_equiv_test.cc against the reference
-// implementation in src/sim/reference_cache.h).
+// (pinned by tests/cache_layout_equiv_test.cc against the pre-refactor
+// reference implementation kept beside that test).
 #ifndef SRC_SIM_CACHE_H_
 #define SRC_SIM_CACHE_H_
 
@@ -93,8 +93,8 @@ class SetAssocCache {
   }
 
   // Read-only probe: never updates the way hint (or any other state), so
-  // observers — DirtBuster residency checks, the region monitor's pull
-  // probes — can't perturb hint state, and therefore host-side lookup
+  // observers — the rewrite-after-clean residency check, the demote leg's
+  // L1 check — can't perturb hint state, and therefore host-side lookup
   // behaviour, by accident.
   const CacheLineMeta* Peek(uint64_t line_addr) const {
     const unsigned char* blk = Block(SetIndexOf(line_addr));

@@ -218,4 +218,18 @@ MachineConfig MachineBSlow(uint32_t num_cores) {
   return m;
 }
 
+std::optional<MachineConfig> MachinePresetNamed(std::string_view name,
+                                                uint32_t num_cores) {
+  if (name == "A") {
+    return MachineA(num_cores);
+  }
+  if (name == "B-fast") {
+    return MachineBFast(num_cores);
+  }
+  if (name == "B-slow") {
+    return MachineBSlow(num_cores);
+  }
+  return std::nullopt;
+}
+
 }  // namespace prestore

@@ -4,7 +4,9 @@
 #define SRC_SIM_CONFIG_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace prestore {
 
@@ -190,6 +192,14 @@ MachineConfig MachineBSlow(uint32_t num_cores = 10);
 // PMEM — 512B internal blocks (current CXL SSD technology), higher latency,
 // lower media bandwidth. The write-amplification ceiling doubles to 8x.
 MachineConfig MachineACxlSsd(uint32_t num_cores = 10);
+
+// The command-line spelling of the three paper presets (--machine=...).
+inline constexpr std::string_view kMachinePresetNames = "A|B-fast|B-slow";
+
+// The preset spelled `name` (one of kMachinePresetNames) with `num_cores`
+// cores; std::nullopt for any other spelling.
+std::optional<MachineConfig> MachinePresetNamed(std::string_view name,
+                                                uint32_t num_cores);
 
 }  // namespace prestore
 

@@ -507,15 +507,12 @@ void Core::Prestore(SimAddr addr, size_t size, PrestoreOp op) {
   const std::vector<PrestoreHook*>& hooks = machine_->prestore_hooks();
   for (uint64_t line = first; line <= last; line += ls) {
     if (HasHooks()) {
-      uint64_t delay = 0;
       bool drop = false;
       for (PrestoreHook* hook : hooks) {
-        if (hook->OnPrestoreHint(id_, line, op, now_, &delay) ==
-            HintFate::kDrop) {
+        if (hook->OnPrestoreHint(id_, line, op, now_) == HintFate::kDrop) {
           drop = true;
         }
       }
-      now_ += delay;
       if (drop) {
         // A suppressed hint issues no instruction: the governor's check is
         // a predicted branch around the hint, so no issue cycle is charged.

@@ -45,9 +45,8 @@ PmemDevice::PmemDevice(const DeviceConfig& config)
       full_mask_(static_cast<uint8_t>(
           (1u << std::max<uint32_t>(1, config.internal_block_size / 64)) -
           1)) {
-  // Buffer-pressure faults only ever SHRINK the usable slot count, so the
-  // configured capacity (bounded by DeviceConfig::Validate, which the Device
-  // constructor ran) is the most a module ever holds.
+  // The configured capacity (bounded by DeviceConfig::Validate, which the
+  // Device constructor ran) is the most a module ever holds.
   for (Dimm& d : dimms_) {
     d.slots.reserve(config.internal_buffer_blocks);
   }
@@ -59,13 +58,6 @@ uint64_t PmemDevice::TouchBlock(uint64_t addr, bool dirty, uint64_t now,
   const uint64_t block = addr / config_.internal_block_size;
   const uint8_t line_bit = static_cast<uint8_t>(
       1u << ((addr % config_.internal_block_size) / 64));
-  // Buffer-pressure faults shrink the usable XPBuffer (never below one
-  // slot), forcing early evictions exactly like competing internal traffic.
-  uint32_t capacity = config_.internal_buffer_blocks;
-  if (DeviceFaultHook* hook = fault_hook()) {
-    const uint32_t stolen = hook->StolenBufferBlocks(now);
-    capacity = stolen >= capacity ? 1 : capacity - stolen;
-  }
   std::vector<BufferedBlock>& slots = dimm.slots;
   for (size_t i = 0; i < slots.size(); ++i) {
     if (slots[i].block == block) {
@@ -79,7 +71,7 @@ uint64_t PmemDevice::TouchBlock(uint64_t addr, bool dirty, uint64_t now,
     }
   }
   uint64_t media_work = 0;
-  while (slots.size() >= capacity) {
+  while (slots.size() >= config_.internal_buffer_blocks) {
     const BufferedBlock victim = slots.back();
     slots.pop_back();
     if (victim.dirty) {
@@ -102,11 +94,6 @@ uint64_t PmemDevice::TouchBlock(uint64_t addr, bool dirty, uint64_t now,
   }
   if (media_work == 0) {
     return 0;  // buffered: no media work, no queueing
-  }
-  if (DeviceFaultHook* hook = fault_hook()) {
-    media_work = static_cast<uint64_t>(
-        static_cast<double>(media_work) *
-        std::max(1.0, hook->BandwidthCostMultiplier(now)));
   }
   return dimm.media.Reserve(media_work, now);
 }
@@ -168,13 +155,7 @@ uint64_t FarMemoryDevice::DirectoryAccess(uint64_t now) {
   // a device round trip plus a small transfer.
   const uint64_t start = ReserveBandwidth(8, now, config_.cycles_per_byte);
   ++stats_.directory_accesses;
-  uint64_t extra = 0;
-  if (DeviceFaultHook* hook = fault_hook()) {
-    // Directory-timeout faults: the device-resident directory stops
-    // answering for a window; every line-state change stalls behind it.
-    extra = hook->ExtraDirectoryLatency(now);
-  }
-  return start + config_.directory_latency + extra;
+  return start + config_.directory_latency;
 }
 
 std::unique_ptr<Device> MakeDevice(const DeviceConfig& config) {

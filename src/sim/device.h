@@ -143,22 +143,17 @@ class Device {
   void SetFaultHook(DeviceFaultHook* hook) { fault_hook_ = hook; }
 
  protected:
-  DeviceFaultHook* fault_hook() const { return fault_hook_; }
-
-  // Reserves the interface transfer of `bytes` issued at `now`, with any
-  // active bandwidth-throttle fault applied; returns its start time.
+  // Reserves the interface transfer of `bytes` issued at `now`; returns its
+  // start time.
   uint64_t ReserveBandwidth(uint32_t bytes, uint64_t now, double cpb) {
-    double cost = static_cast<double>(bytes) * cpb;
-    if (DeviceFaultHook* hook = fault_hook()) {
-      cost *= std::max(1.0, hook->BandwidthCostMultiplier(now));
-    }
+    const double cost = static_cast<double>(bytes) * cpb;
     return now + interface_.Reserve(static_cast<uint64_t>(cost), now);
   }
 
   // Latency-spike fault contribution for an access issued at `now`.
   uint64_t FaultLatency(bool is_write, uint64_t now) const {
-    DeviceFaultHook* hook = fault_hook();
-    return hook != nullptr ? hook->ExtraLatency(is_write, now) : 0;
+    return fault_hook_ != nullptr ? fault_hook_->ExtraLatency(is_write, now)
+                                  : 0;
   }
 
   const DeviceConfig config_;

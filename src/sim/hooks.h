@@ -15,7 +15,7 @@
 namespace prestore {
 
 // Device-side fault injection. A null hook (the default) means "no faults";
-// every method must be cheap — they sit on the device timing fast path.
+// it sits on the device timing fast path, so it must be cheap.
 class DeviceFaultHook {
  public:
   virtual ~DeviceFaultHook() = default;
@@ -23,19 +23,6 @@ class DeviceFaultHook {
   // Additional cycles added to the completion of a read/write issued at
   // `now` (latency spike windows).
   virtual uint64_t ExtraLatency(bool is_write, uint64_t now) = 0;
-
-  // Multiplier (>= 1.0) applied to the cycles-of-work a transfer reserves on
-  // the interface and media meters (bandwidth-throttle windows).
-  virtual double BandwidthCostMultiplier(uint64_t now) = 0;
-
-  // Number of internal write-combining buffer blocks (XPBuffer slots) the
-  // fault steals from a PmemDevice at `now` (buffer-pressure windows). The
-  // device clamps the effective capacity to >= 1.
-  virtual uint32_t StolenBufferBlocks(uint64_t now) = 0;
-
-  // Additional cycles added to a far-memory directory access issued at
-  // `now` (directory-timeout windows).
-  virtual uint64_t ExtraDirectoryLatency(uint64_t now) = 0;
 };
 
 // What a pre-store hint hook decides about one line-granular hint.
@@ -46,18 +33,16 @@ enum class HintFate : uint8_t {
 
 // Pre-store issue-path hook: consulted once per line covered by a
 // Core::Prestore call, before the hint issues. Several hooks may be
-// installed (e.g. a fault injector and a governor); a hint issues only if
+// installed (e.g. a region monitor and a governor); a hint issues only if
 // every hook returns kIssue. The observation callbacks fire regardless of
 // which hook dropped the hint.
 class PrestoreHook {
  public:
   virtual ~PrestoreHook() = default;
 
-  // Decide the fate of the hint. `*delay_cycles` may be increased to stall
-  // the issuing core before the hint issues (delayed-hint faults).
+  // Decide the fate of the hint.
   virtual HintFate OnPrestoreHint(uint8_t core, uint64_t line_addr,
-                                  PrestoreOp op, uint64_t now,
-                                  uint64_t* delay_cycles) = 0;
+                                  PrestoreOp op, uint64_t now) = 0;
 
   // The hint issued but moved nothing (demote of an absent line, clean of a
   // clean line) — the paper's "useless overhead" regime.

@@ -95,7 +95,7 @@ class Machine {
     target_->SetFaultHook(hook);
   }
 
-  // Registers a pre-store issue-path hook (fault injector, governor, ...).
+  // Registers a pre-store issue-path hook (governor, region monitor, ...).
   // A hint issues only if every registered hook allows it.
   void AddPrestoreHook(PrestoreHook* hook) {
     prestore_hooks_.push_back(hook);
@@ -202,19 +202,6 @@ class Machine {
   // would have coalesced); a long-evicted line owed its writeback anyway.
   bool LlcResident(uint64_t line_addr) {
     return llc_->Peek(line_addr) != nullptr;
-  }
-
-  // LlcResident plus the line's dirtiness — the region monitor's
-  // once-per-region-per-interval pull probe. Non-mutating (no replacement
-  // touch, no way-hint update, no stats — hence Peek); `*dirty` is written
-  // only on residency.
-  bool LlcProbe(uint64_t line_addr, bool* dirty) {
-    const CacheLineMeta* meta = llc_->Peek(line_addr);
-    if (meta == nullptr) {
-      return false;
-    }
-    *dirty = meta->dirty;
-    return true;
   }
 
   // Bytes bump-allocated in the target region so far. Lets callers (e.g. a

@@ -2,10 +2,13 @@
 #ifndef SRC_UTIL_CLI_H_
 #define SRC_UTIL_CLI_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,6 +58,35 @@ class CliFlags {
   }
 
   bool Has(const std::string& key) const { return flags_.count(key) > 0; }
+
+  // An enumerated flag: its value (or `fallback` when absent) when that is
+  // one of the '|'-separated `accepted` spellings; otherwise RejectValue and
+  // std::nullopt, on which the caller exits 1 instead of silently running a
+  // default.
+  std::optional<std::string> GetChoice(const std::string& key,
+                                       const std::string& fallback,
+                                       std::string_view accepted) const {
+    const std::string value = GetString(key, fallback);
+    size_t pos = 0;
+    while (pos <= accepted.size()) {
+      const size_t bar = std::min(accepted.find('|', pos), accepted.size());
+      if (accepted.substr(pos, bar - pos) == value) {
+        return value;
+      }
+      pos = bar + 1;
+    }
+    RejectValue(key, value, accepted);
+    return std::nullopt;
+  }
+
+  // Reports an unknown value of an enumerated flag and the accepted list.
+  static void RejectValue(std::string_view key, std::string_view value,
+                          std::string_view accepted) {
+    std::fprintf(stderr, "unknown --%.*s value '%.*s' (accepted: %.*s)\n",
+                 static_cast<int>(key.size()), key.data(),
+                 static_cast<int>(value.size()), value.data(),
+                 static_cast<int>(accepted.size()), accepted.data());
+  }
 
   // Flags that were passed but are not in `known` ("help" is always known).
   // CLIs reject these up front so a typo ("--monitered") fails loudly

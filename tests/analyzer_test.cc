@@ -22,12 +22,7 @@ TraceRecord Fence(uint64_t icount) {
   return TraceRecord{TraceKind::kFence, 0, 0, 0, icount, kFunc, 0};
 }
 
-PatternAnalyzer MakeAnalyzer() {
-  AnalyzerConfig cfg;
-  cfg.line_size = 64;
-  cfg.max_cores = 2;
-  return PatternAnalyzer(cfg, {kFunc});
-}
+PatternAnalyzer MakeAnalyzer() { return PatternAnalyzer(64, {kFunc}); }
 
 TEST(Analyzer, PureSequentialWritesFormOneContext) {
   PatternAnalyzer a = MakeAnalyzer();
@@ -72,13 +67,10 @@ TEST(Analyzer, InterleavedStreamsBothTracked) {
 TEST(Analyzer, StaleAdjacencyDoesNotCount) {
   // Address-adjacent writes separated by more than the staleness window are
   // NOT sequential for the cache (the IS bucket-scatter case).
-  AnalyzerConfig cfg;
-  cfg.line_size = 64;
-  cfg.max_cores = 2;
-  cfg.seq_staleness_instructions = 1000;
-  PatternAnalyzer a(cfg, {kFunc});
+  PatternAnalyzer a = MakeAnalyzer();
+  const uint64_t apart = 5 * PatternAnalyzer::kSeqStalenessInstructions;
   for (uint64_t i = 0; i < 50; ++i) {
-    a.Record(Store(0x1000 + i * 8, i * 50000));  // 50K instructions apart
+    a.Record(Store(0x1000 + i * 8, i * apart));  // 50K instructions apart
   }
   const auto out = a.Finalize();
   ASSERT_EQ(out.size(), 1u);

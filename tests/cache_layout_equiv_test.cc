@@ -1,21 +1,23 @@
 // SetBlock layout equivalence: the contiguous-per-set cache (src/sim/cache.h)
 // against the preserved pre-refactor parallel-array implementation
-// (src/sim/reference_cache.h), driven through randomized
+// (tests/reference_cache.h), driven through randomized
 // Insert/Remove/AgeLine/Touch/Probe interleavings. The layout is a pure
 // host-side transform, so EVERYTHING observable must match op for op:
 // hit/miss outcomes, victim choices (i.e. RNG draw order), per-set way
 // hints, and ValidLines(). Runs each policy twice: once with a
 // power-of-two set count and once with a non-power-of-two one, so the
 // magic-multiply SetIndexOf fallback is exercised against the hardware
-// divide it replaced.
+// divide it replaced; and the preset L1 and LLC geometries the simulator
+// actually runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "src/sim/cache.h"
 #include "src/sim/config.h"
-#include "src/sim/reference_cache.h"
+#include "tests/reference_cache.h"
 
 namespace prestore {
 namespace {
@@ -32,7 +34,8 @@ CacheConfig SmallCache(ReplacementPolicy policy, uint32_t ways,
 
 // Drives the reference cache and a SetBlock cache through the same
 // randomized op stream, asserting identical observable behaviour
-// throughout.
+// throughout. The full-state comparison runs every 256 ops, or every
+// eighth of the cache's line capacity for the big preset LLC.
 void RunEquivalence(const CacheConfig& cfg, uint64_t seed, int ops) {
   ReferenceSetAssocCache ref(cfg, seed);
   SetAssocCache whole(cfg, seed);
@@ -60,6 +63,8 @@ void RunEquivalence(const CacheConfig& cfg, uint64_t seed, int ops) {
   // Address stream: ~3x the cache's line capacity so warm sets keep
   // evicting, with enough reuse that Touch hits are common.
   const uint64_t span_lines = 3 * sets * cfg.ways + 7;
+  const int check_every =
+      std::max<int>(256, static_cast<int>(sets * cfg.ways / 8));
   uint64_t x = seed | 1;
   for (int i = 0; i < ops; ++i) {
     x ^= x << 7;
@@ -115,7 +120,7 @@ void RunEquivalence(const CacheConfig& cfg, uint64_t seed, int ops) {
         break;
       }
     }
-    if ((i & 255) == 255) {
+    if (i % check_every == check_every - 1) {
       check_state(i);
     }
   }
@@ -135,6 +140,17 @@ TEST_P(LayoutEquivalence, MatchesReferenceOnNonPow2Sets) {
   // reference uses the hardware divide it replaced.
   RunEquivalence(SmallCache(GetParam(), 4, 48), /*seed=*/0xa11ce,
                  /*ops=*/6000);
+}
+
+// The geometries every simulated machine runs: Machine A's L1 (64 sets,
+// 8-way tree-PLRU) and LLC (2048 sets, 16-way quad-age). The LLC stream
+// is long enough to fill it about three times over.
+TEST(LayoutEquivalencePresets, MatchesReferenceOnPresetL1) {
+  RunEquivalence(MachineA().l1, /*seed=*/42, /*ops=*/60000);
+}
+
+TEST(LayoutEquivalencePresets, MatchesReferenceOnPresetLlc) {
+  RunEquivalence(MachineA().llc, /*seed=*/42, /*ops=*/120000);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, LayoutEquivalence,

@@ -173,13 +173,13 @@ TEST(PrestoreGovernor, GovernedStormOutperformsUngoverned) {
 
 TEST(PrestoreGovernor, RecoversWhenRewritesStop) {
   Machine machine(MachineA(1));
-  GovernorConfig cfg = FastConfig();
-  cfg.region_shift = 20;  // keep both phases in one 1 MiB region
-  PrestoreGovernor governor(machine, cfg);
+  PrestoreGovernor governor(machine, FastConfig());
   governor.Attach();
 
   // Region-aligned so both phases land in exactly one governor region.
-  const SimAddr buf = machine.Alloc(1 << 20, Region::kTarget, 1 << 20);
+  constexpr uint64_t kRegionBytes = 1ULL << kRegionShift;
+  const SimAddr buf =
+      machine.Alloc(kRegionBytes, Region::kTarget, kRegionBytes);
   std::vector<uint8_t> payload(64, 2);
   RunOnCore(machine, [&](Core& core) {
     // Phase 1: Listing-3 storm on one line of the region.
@@ -189,9 +189,9 @@ TEST(PrestoreGovernor, RecoversWhenRewritesStop) {
     }
     // Phase 2: well-behaved streaming cleans over the same region — every
     // line written once, cleaned once, never rewritten. (A single pass: the
-    // 1 MiB buffer fits the LLC, so repeated passes would re-dirty resident
+    // region fits the LLC, so repeated passes would re-dirty resident
     // cleaned lines and correctly read as misuse.)
-    for (uint32_t off = 64; off < (1u << 20); off += 64) {
+    for (uint64_t off = 64; off < kRegionBytes; off += 64) {
       core.MemCopyToSim(buf + off, payload.data(), payload.size());
       core.Prestore(buf + off, 64, PrestoreOp::kClean);
     }
@@ -267,16 +267,8 @@ TEST(GovernorConfig, ValidateCatchesIncoherentSettings) {
   GovernorConfig cfg;
   EXPECT_EQ(cfg.Validate(), "");
 
-  cfg.region_shift = 4;
-  EXPECT_NE(cfg.Validate(), "");
-  cfg = GovernorConfig{};
-
   cfg.backoff_rewrite_rate = 0.2;
   cfg.reopen_rewrite_rate = 0.5;  // reopen must not exceed backoff
-  EXPECT_NE(cfg.Validate(), "");
-  cfg = GovernorConfig{};
-
-  cfg.max_tracked_regions = 0;
   EXPECT_NE(cfg.Validate(), "");
 }
 
@@ -289,39 +281,42 @@ TEST(PrestoreGovernor, ConstructorThrowsOnBadConfig) {
 
 TEST(PrestoreGovernor, RegionTableIsLruBounded) {
   Machine machine(MachineA(1));
-  GovernorConfig cfg = FastConfig();
-  cfg.region_shift = 12;       // 4 KiB regions
-  cfg.max_tracked_regions = 8; // tiny cap to force displacement
-  PrestoreGovernor governor(machine, cfg);
+  PrestoreGovernor governor(machine, FastConfig());
   governor.Attach();
 
-  const SimAddr base = machine.Alloc(512ULL << 12);
+  constexpr uint64_t kRegionBytes = 1ULL << kRegionShift;
+  constexpr uint64_t kCap = PrestoreGovernor::kMaxTrackedRegions;
+  // Address space only: clean hints of never-written lines touch no host
+  // memory.
+  const SimAddr base =
+      machine.Alloc((kCap + 65) * kRegionBytes, Region::kTarget, kRegionBytes);
   Core& core = machine.core(0);
-  // Touch 256 distinct regions once each: the table must stay at the cap
-  // and count the displacements.
-  for (uint64_t r = 0; r < 256; ++r) {
-    core.StoreU64(base + (r << 12), r);
-    core.Prestore(base + (r << 12), 64, PrestoreOp::kClean);
+  const auto hint = [&](uint64_t region) {
+    core.Prestore(base + region * kRegionBytes, 64, PrestoreOp::kClean);
+  };
+  // One hint into each of kCap + 64 distinct regions: the table must stay
+  // at the cap and count the displacements.
+  for (uint64_t r = 0; r < kCap + 64; ++r) {
+    hint(r);
   }
   const PrestoreGovernor::Snapshot snap = governor.TakeSnapshot();
-  EXPECT_LE(snap.regions.size(), 8u);
-  EXPECT_GE(snap.region_evictions, 256u - 8u);
+  EXPECT_EQ(snap.regions.size(), kCap);
+  EXPECT_EQ(snap.region_evictions, 64u);
 
-  // LRU, not FIFO: keep re-touching one region while streaming new ones —
-  // the hot region must survive the churn.
-  const uint64_t hot = (base >> 12) << 12;
-  for (uint64_t r = 256; r < 320; ++r) {
-    core.Prestore(hot, 64, PrestoreOp::kClean);
-    core.Prestore(base + (r << 12), 64, PrestoreOp::kClean);
-  }
-  bool hot_present = false;
+  // LRU, not FIFO: region 64 is now the least recently touched entry.
+  // Touching it again must save it from the next displacement, which then
+  // takes region 65 instead.
+  hint(64);
+  hint(kCap + 64);
+  bool has_64 = false;
+  bool has_65 = false;
   for (const PrestoreGovernor::RegionSnapshot& r :
        governor.TakeSnapshot().regions) {
-    if (r.region_base == hot) {
-      hot_present = true;
-    }
+    has_64 = has_64 || r.region_base == base + 64 * kRegionBytes;
+    has_65 = has_65 || r.region_base == base + 65 * kRegionBytes;
   }
-  EXPECT_TRUE(hot_present);
+  EXPECT_TRUE(has_64);
+  EXPECT_FALSE(has_65);
 }
 
 }  // namespace

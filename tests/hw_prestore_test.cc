@@ -106,7 +106,6 @@ TEST(HwSelect, HostSelectionMatchesDetectedFeatures) {
 
 TEST(GovernedHw, BacksOffRewriteStorm) {
   GovernorConfig cfg;
-  cfg.region_shift = 12;
   cfg.window_hints = 8;
   cfg.probe_period = 8;
   cfg.probe_window = 4;
@@ -128,7 +127,6 @@ TEST(GovernedHw, BacksOffRewriteStorm) {
 
 TEST(GovernedHw, AdmitsWellBehavedCleans) {
   GovernorConfig cfg;
-  cfg.region_shift = 12;
   cfg.window_hints = 8;
   GovernedHwPrestore gov(cfg);
 

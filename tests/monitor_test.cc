@@ -1,9 +1,12 @@
-// Online adaptive region monitor (DESIGN.md §13): scheme-rule grammar,
-// split/merge behavior, verdicts on synthetic patterns, and the
-// determinism contract — byte-identical region trees and scheme-action
+// Online adaptive region monitor (DESIGN.md §13): the four fixed verdict
+// rules, split/merge behavior, verdicts on synthetic patterns, and the
+// determinism contract — byte-identical region trees and verdict action
 // logs across repeated runs.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "src/monitor/region_monitor.h"
@@ -26,78 +29,24 @@ TEST(MonitorConfig, ValidatesBounds) {
   EXPECT_NE(cfg.Validate(), "");
   cfg = MonitorConfig{};
 
-  cfg.min_regions = 50;
-  cfg.max_regions = 10;
+  cfg.max_regions = RegionMonitor::kMinRegions - 1;
   EXPECT_NE(cfg.Validate(), "");
   cfg = MonitorConfig{};
 
   cfg.max_regions = 100000;  // DAMON-style hard cap at 1000
-  EXPECT_NE(cfg.Validate(), "");
-  cfg = MonitorConfig{};
-
-  cfg.merge_homogeneity = 1.5;
-  EXPECT_NE(cfg.Validate(), "");
-  cfg = MonitorConfig{};
-
-  cfg.rules = "bogus: writez>=1 -> clean";
   EXPECT_NE(cfg.Validate(), "");
 }
 
 TEST(MonitorConfig, ConstructorThrowsOnBadConfig) {
   Machine machine(MachineA(1));
   MonitorConfig cfg;
-  cfg.probe_period = 0;
+  cfg.aggregation_samples = 0;
   EXPECT_THROW(RegionMonitor(machine, cfg), std::invalid_argument);
 }
 
-// ---- Scheme grammar ----
+// ---- The four rules ----
 
-TEST(SchemeRules, ParsesAndRoundTrips) {
-  const std::string text =
-      "# suppress hot rewrites\n"
-      "hot: cleans>=8 rewrites>=0.5 -> none suppress\n"
-      "seqw: writes>=0.5 seq>=0.25 noread>=3 -> clean admit\n";
-  std::vector<SchemeRule> rules;
-  ASSERT_EQ(ParseSchemeRules(text, &rules), "");
-  ASSERT_EQ(rules.size(), 2u);
-  EXPECT_EQ(rules[0].name, "hot");
-  EXPECT_EQ(rules[0].advice, Advice::kNone);
-  EXPECT_EQ(rules[0].gate, HintGate::kSuppress);
-  EXPECT_EQ(rules[1].advice, Advice::kClean);
-  EXPECT_EQ(rules[1].gate, HintGate::kAdmit);
-  ASSERT_EQ(rules[1].predicates.size(), 3u);
-  EXPECT_EQ(rules[1].predicates[2].field, SchemeField::kNoReadIntervals);
-  EXPECT_TRUE(rules[1].predicates[2].at_least);
-  EXPECT_DOUBLE_EQ(rules[1].predicates[2].bound, 3.0);
-
-  // Round-trip: format then re-parse yields the same rules.
-  std::vector<SchemeRule> again;
-  ASSERT_EQ(ParseSchemeRules(FormatSchemeRules(rules), &again), "");
-  ASSERT_EQ(again.size(), rules.size());
-  for (size_t i = 0; i < rules.size(); ++i) {
-    EXPECT_EQ(again[i].name, rules[i].name);
-    EXPECT_EQ(again[i].advice, rules[i].advice);
-    EXPECT_EQ(again[i].gate, rules[i].gate);
-    EXPECT_EQ(again[i].predicates.size(), rules[i].predicates.size());
-  }
-}
-
-TEST(SchemeRules, RejectsBadInputWithLineNumbers) {
-  std::vector<SchemeRule> rules;
-  EXPECT_NE(ParseSchemeRules("r: writez>=1 -> clean", &rules), "");
-  EXPECT_NE(ParseSchemeRules("r: writes>=x -> clean", &rules), "");
-  EXPECT_NE(ParseSchemeRules("r: writes>=1 -> shiny", &rules), "");
-  EXPECT_NE(ParseSchemeRules("r: writes>=1 clean", &rules), "");  // no ->
-  const std::string err =
-      ParseSchemeRules("ok: writes>=1 -> clean\nbad: seq>=y -> skip", &rules);
-  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
-  EXPECT_TRUE(rules.empty());  // out untouched on failure
-}
-
-TEST(SchemeEngine, FirstMatchWins) {
-  const SchemeConfig cfg;
-  SchemeEngine engine(DefaultSchemeRules(cfg));
-
+TEST(SchemeRules, FirstMatchWins) {
   // Rewrite storm through issued cleans: the backoff rule (first) fires
   // even though the write/seq pattern would also match an admit rule.
   SchemeStats storm;
@@ -107,9 +56,9 @@ TEST(SchemeEngine, FirstMatchWins) {
   storm.samples = 100;
   storm.cleans = 50;
   storm.rewrite_rate = 0.9;
-  const SchemeVerdict backoff = engine.Evaluate(storm);
+  const SchemeVerdict backoff = EvaluateSchemeRules(storm);
   EXPECT_EQ(backoff.gate, HintGate::kSuppress);
-  EXPECT_EQ(backoff.rule, 0u);
+  EXPECT_EQ(backoff.rule, kRuleRewrittenWhileResident);
 
   // Sequential writer, never re-read, no rewrites: clean/admit.
   SchemeStats seq;
@@ -117,20 +66,80 @@ TEST(SchemeEngine, FirstMatchWins) {
   seq.seq_fraction = 0.8;
   seq.noread_intervals = 5;
   seq.samples = 100;
-  const SchemeVerdict clean = engine.Evaluate(seq);
+  const SchemeVerdict clean = EvaluateSchemeRules(seq);
   EXPECT_EQ(clean.advice, Advice::kClean);
   EXPECT_EQ(clean.gate, HintGate::kAdmit);
+  EXPECT_EQ(clean.rule, kRuleSeqWritesNoReread);
 
   // Fence-bound writer: demote beats the clean rule (ordered earlier).
   SchemeStats fenced = seq;
   fenced.fence_rate = 0.5;
-  const SchemeVerdict demote = engine.Evaluate(fenced);
+  const SchemeVerdict demote = EvaluateSchemeRules(fenced);
   EXPECT_EQ(demote.advice, Advice::kDemote);
+  EXPECT_EQ(demote.rule, kRuleWritesBeforeFence);
 
   // Nothing matches: the default verdict.
-  const SchemeVerdict none = engine.Evaluate(SchemeStats{});
+  const SchemeVerdict none = EvaluateSchemeRules(SchemeStats{});
   EXPECT_EQ(none.rule, kNoRule);
   EXPECT_EQ(none.gate, HintGate::kDefault);
+}
+
+TEST(SchemeRules, GridMatchesRecordedDigest) {
+  // Every field a rule reads at 0, one ulp below its threshold, at it, one
+  // ulp above it, and at a large value: 5^8 stats, each verdict folded into
+  // one FNV-1a digest. The digest was recorded from the rule interpreter
+  // these four rules replaced, evaluating its default rules at its default
+  // thresholds, so any drift in a threshold, a comparison or the rule
+  // order shows here.
+  const auto around = [](double threshold) {
+    const double inf = std::numeric_limits<double>::infinity();
+    return std::array<double, 5>{0.0, std::nextafter(threshold, -inf),
+                                 threshold, std::nextafter(threshold, inf),
+                                 1e9};
+  };
+  uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  // Field order: cleans varies slowest, noread_intervals fastest.
+  const std::array<std::array<double, 5>, 8> grid = {
+      around(kSchemeMinIntervalCleans),  around(kSchemeBackoffRewriteRate),
+      around(kSchemeBackoffUselessRate), around(kSchemeMinIntervalSamples),
+      around(kSchemeMinWriteFraction),   around(kSchemeFenceRate),
+      around(kSchemeSeqFraction),        around(kSchemeNoReadIntervals)};
+  uint64_t per_rule[5] = {};
+  for (uint32_t n = 0; n < 390625; ++n) {  // 5^8
+    double v[8];
+    uint32_t rest = n;
+    for (int f = 7; f >= 0; --f) {
+      v[f] = grid[f][rest % 5];
+      rest /= 5;
+    }
+    SchemeStats stats;
+    stats.cleans = v[0];
+    stats.rewrite_rate = v[1];
+    stats.useless_rate = v[2];
+    stats.samples = v[3];
+    stats.write_fraction = v[4];
+    stats.fence_rate = v[5];
+    stats.seq_fraction = v[6];
+    stats.noread_intervals = v[7];
+    const SchemeVerdict verdict = EvaluateSchemeRules(stats);
+    mix(static_cast<uint64_t>(verdict.advice));
+    mix(static_cast<uint64_t>(verdict.gate));
+    mix(verdict.rule);
+    ++per_rule[verdict.rule == kNoRule ? 4 : verdict.rule];
+  }
+  EXPECT_EQ(h, 0x4d25b6cd023ee7a7ULL);
+  // Every rule, and the no-match default, is reached.
+  EXPECT_EQ(per_rule[0], 140625u);
+  EXPECT_EQ(per_rule[1], 56250u);
+  EXPECT_EQ(per_rule[2], 41850u);
+  EXPECT_EQ(per_rule[3], 10044u);
+  EXPECT_EQ(per_rule[4], 141856u);
 }
 
 // ---- Region lifecycle ----
@@ -154,7 +163,6 @@ TEST_F(RegionMonitorTest, SplitsStayBoundedAndCoverTheRange) {
   MonitorConfig cfg;
   cfg.sample_period = 4;
   cfg.aggregation_samples = 64;
-  cfg.min_regions = 4;
   cfg.max_regions = 16;
   const SimAddr base = machine_.Alloc(1 << 20);
   RegionMonitor monitor(machine_, cfg);
@@ -176,7 +184,7 @@ TEST_F(RegionMonitorTest, SplitsStayBoundedAndCoverTheRange) {
   const RegionMonitor::Snapshot snap = monitor.TakeSnapshot();
   EXPECT_GT(snap.intervals, 0u);
   EXPECT_GT(snap.splits, 0u);
-  ASSERT_GE(snap.regions.size(), cfg.min_regions);
+  ASSERT_GE(snap.regions.size(), RegionMonitor::kMinRegions);
   ASSERT_LE(snap.regions.size(), cfg.max_regions);
   // Regions tile the monitored range: sorted, disjoint, line-aligned.
   uint64_t covered = 0;
@@ -192,46 +200,51 @@ TEST_F(RegionMonitorTest, SplitsStayBoundedAndCoverTheRange) {
   EXPECT_EQ(covered, 1u << 20);
 }
 
+// The Listing-3 misuse on one 32 KiB buffer: store a line, clean it, and
+// store it again a lap later while it is still resident. Runs one
+// aggregation interval (plus a margin), so the default
+// rewritten-while-resident rule has installed its suppress verdict.
+void RunResidentRewriteStorm(Machine& machine, SimAddr base,
+                             const MonitorConfig& cfg) {
+  Core& core = machine.core(0);
+  for (uint64_t i = 0; i < cfg.aggregation_samples * cfg.sample_period + 64;
+       ++i) {
+    const SimAddr line = base + (i % 512) * 64;
+    core.StoreU64(line, i);
+    core.Prestore(line, 64, PrestoreOp::kClean);
+  }
+}
+
 TEST_F(RegionMonitorTest, SuppressedRegionDropsHintsButProbes) {
-  MonitorConfig cfg;
-  cfg.probe_period = 8;
+  const MonitorConfig cfg;
   const SimAddr base = machine_.Alloc(1 << 16);
   RegionMonitor monitor(machine_, cfg);
   monitor.Monitor(base, base + (1 << 16));
-  // Force a suppress verdict through a rules override that always matches.
-  // (Not attached: we drive AdviseHint directly.)
-  MonitorConfig scfg = cfg;
-  scfg.rules = "always: samples>=0 -> none suppress\n";
-  RegionMonitor suppressing(machine_, scfg);
-  suppressing.Monitor(base, base + (1 << 16));
-  suppressing.Attach();
-  Core& core = machine_.core(0);
-  // One aggregation interval's worth of samples to install the verdict.
-  for (uint64_t i = 0;
-       i < scfg.aggregation_samples * scfg.sample_period + 64; ++i) {
-    core.StoreU64(base + (i % 512) * 64, i);
-  }
-  ASSERT_EQ(suppressing.VerdictAt(base).gate, HintGate::kSuppress);
+  monitor.Attach();
+  RunResidentRewriteStorm(machine_, base, cfg);
+  ASSERT_EQ(monitor.VerdictAt(base).gate, HintGate::kSuppress);
+  ASSERT_EQ(monitor.VerdictAt(base).rule, kRuleRewrittenWhileResident);
 
+  // No governor is attached: drive AdviseHint directly.
   uint64_t admitted = 0;
   uint64_t dropped = 0;
   for (int i = 0; i < 64; ++i) {
-    if (suppressing.AdviseHint(0, base, PrestoreOp::kClean, 0) ==
+    if (monitor.AdviseHint(0, base, PrestoreOp::kClean, 0) ==
         HintFate::kIssue) {
       ++admitted;
     } else {
       ++dropped;
     }
   }
-  // Every probe_period-th hint leaks through as a recovery probe.
-  EXPECT_EQ(admitted, 64u / cfg.probe_period);
+  // Every kProbePeriod-th hint leaks through as a recovery probe.
+  EXPECT_EQ(admitted, 64u / RegionMonitor::kProbePeriod);
   EXPECT_EQ(dropped, 64u - admitted);
 
   // Host-side sweep gating agrees, and grants cover the per-line hints a
   // sweep would otherwise double-advance the probe counter with.
   uint64_t sweep_admits = 0;
   for (int i = 0; i < 32; ++i) {
-    if (suppressing.AdviseSweep(base, 256) == HintFate::kIssue) {
+    if (monitor.AdviseSweep(base, 256) == HintFate::kIssue) {
       ++sweep_admits;
     }
   }
@@ -240,11 +253,8 @@ TEST_F(RegionMonitorTest, SuppressedRegionDropsHintsButProbes) {
 }
 
 TEST_F(RegionMonitorTest, MonitoredGovernorSuppressesByVerdict) {
-  GovernorConfig gcfg;
-  gcfg.policy = GovernorPolicy::kMonitored;
-  PrestoreGovernor governor(machine_, gcfg);
-  MonitorConfig mcfg;
-  mcfg.rules = "always: samples>=0 -> none suppress\n";
+  PrestoreGovernor governor(machine_);
+  const MonitorConfig mcfg;
   const SimAddr base = machine_.Alloc(1 << 16);
   RegionMonitor monitor(machine_, mcfg);
   monitor.Monitor(base, base + (1 << 16));
@@ -252,12 +262,9 @@ TEST_F(RegionMonitorTest, MonitoredGovernorSuppressesByVerdict) {
   monitor.Attach();
   governor.Attach();
 
-  Core& core = machine_.core(0);
-  for (uint64_t i = 0;
-       i < mcfg.aggregation_samples * mcfg.sample_period + 64; ++i) {
-    core.StoreU64(base + (i % 512) * 64, i);
-  }
+  RunResidentRewriteStorm(machine_, base, mcfg);
   ASSERT_EQ(monitor.VerdictAt(base).gate, HintGate::kSuppress);
+  Core& core = machine_.core(0);
   for (int i = 0; i < 256; ++i) {
     core.Prestore(base + (i % 512) * 64, 64, PrestoreOp::kClean);
   }

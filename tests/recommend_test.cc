@@ -19,40 +19,38 @@ SizeClassReport Cls(double share, bool reread, double reread_d, bool rewrite,
   return c;
 }
 
-const AdviceThresholds kT;
-
 TEST(AdviseClass, NeverReusedGetsSkip) {
-  EXPECT_EQ(AdviseClass(Cls(1.0, false, 0, false, 0), false, kT),
+  EXPECT_EQ(AdviseClass(Cls(1.0, false, 0, false, 0), false),
             Advice::kSkip);
 }
 
 TEST(AdviseClass, ReReadSoonGetsClean) {
-  EXPECT_EQ(AdviseClass(Cls(1.0, true, 10, false, 0), false, kT),
+  EXPECT_EQ(AdviseClass(Cls(1.0, true, 10, false, 0), false),
             Advice::kClean);
 }
 
 TEST(AdviseClass, ReReadFarGetsSkip) {
   // "Re-read" at a distance beyond the threshold is as good as never.
-  EXPECT_EQ(AdviseClass(Cls(1.0, true, 1e9, false, 0), false, kT),
+  EXPECT_EQ(AdviseClass(Cls(1.0, true, 1e9, false, 0), false),
             Advice::kSkip);
 }
 
 TEST(AdviseClass, RewrittenSoonNoFenceGetsNone) {
   // The Listing-3 trap.
-  EXPECT_EQ(AdviseClass(Cls(1.0, false, 0, true, 100), false, kT),
+  EXPECT_EQ(AdviseClass(Cls(1.0, false, 0, true, 100), false),
             Advice::kNone);
 }
 
 TEST(AdviseClass, RewrittenSoonWithFenceGetsDemote) {
   // The X9 case: reused buffers published behind a CAS.
-  EXPECT_EQ(AdviseClass(Cls(1.0, false, 0, true, 100), true, kT),
+  EXPECT_EQ(AdviseClass(Cls(1.0, false, 0, true, 100), true),
             Advice::kDemote);
 }
 
 TEST(AdviseClass, RewriteBeatsReRead) {
   // Data both re-read and re-written soon: cleaning would still cause
   // useless writebacks before each re-write.
-  EXPECT_EQ(AdviseClass(Cls(1.0, true, 10, true, 100), false, kT),
+  EXPECT_EQ(AdviseClass(Cls(1.0, true, 10, true, 100), false),
             Advice::kNone);
 }
 
@@ -70,12 +68,12 @@ TEST(AdviseFunction, NotSequentialNotFenceBoundGetsNone) {
   // §6.1: pre-stores only help sequential writes or writes before fences —
   // the IS `rank` case.
   const auto analysis = Func(0.05, 0.0, {Cls(1.0, false, 0, false, 0)});
-  EXPECT_EQ(AdviseFunction(analysis, kT), Advice::kNone);
+  EXPECT_EQ(AdviseFunction(analysis), Advice::kNone);
 }
 
 TEST(AdviseFunction, SequentialNeverReusedGetsSkip) {
   const auto analysis = Func(0.95, 0.0, {Cls(1.0, false, 0, false, 0)});
-  EXPECT_EQ(AdviseFunction(analysis, kT), Advice::kSkip);
+  EXPECT_EQ(AdviseFunction(analysis), Advice::kSkip);
 }
 
 TEST(AdviseFunction, MixedClassesWithOneReReadGetClean) {
@@ -84,7 +82,7 @@ TEST(AdviseFunction, MixedClassesWithOneReReadGetClean) {
   const auto analysis = Func(0.9, 0.0,
                              {Cls(0.35, false, 0, false, 0),
                               Cls(0.60, true, 2, false, 0)});
-  EXPECT_EQ(AdviseFunction(analysis, kT), Advice::kClean);
+  EXPECT_EQ(AdviseFunction(analysis), Advice::kClean);
 }
 
 TEST(AdviseFunction, InsignificantClassIgnored) {
@@ -93,24 +91,24 @@ TEST(AdviseFunction, InsignificantClassIgnored) {
   const auto analysis = Func(0.9, 0.0,
                              {Cls(0.98, false, 0, false, 0),
                               Cls(0.02, true, 2, false, 0)});
-  EXPECT_EQ(AdviseFunction(analysis, kT), Advice::kSkip);
+  EXPECT_EQ(AdviseFunction(analysis), Advice::kSkip);
 }
 
 TEST(AdviseFunction, MostlyRewrittenFenceBoundGetsDemote) {
   const auto analysis = Func(0.9, 0.8, {Cls(0.9, false, 0, true, 50)});
-  EXPECT_EQ(AdviseFunction(analysis, kT), Advice::kDemote);
+  EXPECT_EQ(AdviseFunction(analysis), Advice::kDemote);
 }
 
 TEST(AdviseFunction, MostlyRewrittenNoFenceGetsNone) {
   const auto analysis = Func(0.9, 0.0, {Cls(0.9, false, 0, true, 50)});
-  EXPECT_EQ(AdviseFunction(analysis, kT), Advice::kNone);
+  EXPECT_EQ(AdviseFunction(analysis), Advice::kNone);
 }
 
 TEST(AdviseFunction, FenceBoundNotSequentialStillEligible) {
   // Writes before a fence qualify even without sequentiality (§6.1 lists
   // the two patterns as alternatives).
   const auto analysis = Func(0.05, 0.9, {Cls(1.0, false, 0, true, 100)});
-  EXPECT_EQ(AdviseFunction(analysis, kT), Advice::kDemote);
+  EXPECT_EQ(AdviseFunction(analysis), Advice::kDemote);
 }
 
 }  // namespace

@@ -41,16 +41,12 @@ TEST(ServeConfig, ValidateRejectsBadShapes) {
   EXPECT_NE(cfg.Validate().find("queue_slots"), std::string::npos);
 
   cfg = SmallConfig();
-  cfg.response_slots = 0;
-  EXPECT_NE(cfg.Validate().find("response_slots"), std::string::npos);
-
-  cfg = SmallConfig();
   cfg.batch_max = 0;
   EXPECT_NE(cfg.Validate().find("batch_max"), std::string::npos);
 
   cfg = SmallConfig();
   cfg.open_loop = true;
-  cfg.max_inflight = cfg.response_slots + 1;  // worker could wedge
+  cfg.max_inflight = kResponseSlots + 1;  // worker could wedge
   EXPECT_NE(cfg.Validate().find("max_inflight"), std::string::npos);
 
   // Embedded YCSB problems surface through the same path.
@@ -105,14 +101,6 @@ TEST(ServeConfig, ValidateRejectsBadClusterShapes) {
   cfg = cluster();
   cfg.virtual_nodes = 48;  // not a power of two
   EXPECT_NE(cfg.Validate().find("virtual_nodes"), std::string::npos);
-
-  cfg = cluster();
-  cfg.repl_queue_slots = 0;
-  EXPECT_NE(cfg.Validate().find("repl_queue_slots"), std::string::npos);
-
-  cfg = cluster();
-  cfg.failover_backoff_cap_cycles = cfg.failover_backoff_base_cycles - 1;
-  EXPECT_NE(cfg.Validate().find("failover_backoff_cap"), std::string::npos);
 
   cfg = cluster();
   cfg.unhealthy_after = 0;
@@ -291,7 +279,6 @@ TEST(Serve, BackpressureRejectsAndRecovers) {
   cfg.open_loop = true;
   cfg.open_loop_interval = 40;  // far below the per-request service time
   cfg.max_inflight = 8;
-  cfg.response_slots = 8;
   cfg.ycsb.ops_per_thread = 120;
   KvServer server(machine, cfg);
   const ServeResult result = ServeYcsb(machine, server);
@@ -323,7 +310,6 @@ TEST(Serve, BatchedCleanCutsWriteAmplification) {
     cfg.open_loop = true;
     cfg.open_loop_interval = 100;
     cfg.max_inflight = 16;
-    cfg.response_slots = 16;
     cfg.batch_max = 8;
     KvServer server(machine, cfg);
     return ServeYcsb(machine, server);

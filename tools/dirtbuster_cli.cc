@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/dirtbuster/dirtbuster.h"
 #include "src/kv/clht.h"
@@ -27,6 +29,10 @@ using namespace prestore;
 
 namespace {
 
+constexpr std::string_view kWorkloadNames =
+    "mg|ft|sp|bt|ua|is|cg|ep|lu|clht|masstree|tensor|x9|stream-read|"
+    "ray-trace|compress";
+
 int Usage(std::FILE* out, int code) {
   std::fprintf(
       out,
@@ -38,16 +44,6 @@ int Usage(std::FILE* out, int code) {
       "  --machine=NAME   machine preset: A (default), B-fast, B-slow\n"
       "  --help           this text\n");
   return code;
-}
-
-MachineConfig PickMachine(const std::string& name) {
-  if (name == "B-fast") {
-    return MachineBFast(2);
-  }
-  if (name == "B-slow") {
-    return MachineBSlow(2);
-  }
-  return MachineA(2);
 }
 
 }  // namespace
@@ -69,7 +65,12 @@ int main(int argc, char** argv) {
   if (workload.empty()) {
     return Usage(stderr, 2);
   }
-  Machine machine(PickMachine(flags.GetString("machine", "A")));
+  const std::optional<std::string> preset =
+      flags.GetChoice("machine", "A", kMachinePresetNames);
+  if (!preset) {
+    return 1;
+  }
+  Machine machine(*MachinePresetNamed(*preset, 2));
 
   // Build the workload body; objects must outlive the two analysis passes.
   std::function<void()> body;
@@ -122,7 +123,8 @@ int main(int argc, char** argv) {
       }
     }
     if (proxy == nullptr) {
-      return Usage(stderr, 2);
+      CliFlags::RejectValue("workload", workload, kWorkloadNames);
+      return 1;
     }
     body = [&] { proxy->Run(machine.core(0)); };
   }

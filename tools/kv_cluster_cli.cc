@@ -12,6 +12,7 @@
 //   kv_cluster_cli --smoke           # small deterministic failover run
 #include <algorithm>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,6 @@ YcsbWorkload ParseWorkload(const std::string& name) {
   if (name == "b") return YcsbWorkload::kB;
   if (name == "c") return YcsbWorkload::kC;
   if (name == "f") return YcsbWorkload::kF;
-  std::cerr << "unknown cluster workload '" << name << "' (a|b|c|f), using a\n";
   return YcsbWorkload::kA;
 }
 
@@ -140,9 +140,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool smoke = flags.GetBool("smoke", false);
+  const std::optional<std::string> workload =
+      flags.GetChoice("workload", "a", "a|b|c|f");
+  if (!workload) {
+    return 1;
+  }
 
   ServeConfig cfg;
-  cfg.ycsb.workload = ParseWorkload(flags.GetString("workload", "a"));
+  cfg.ycsb.workload = ParseWorkload(*workload);
   cfg.ycsb.num_keys =
       static_cast<uint64_t>(flags.GetInt("keys", smoke ? 2048 : 4096));
   cfg.ycsb.value_size =

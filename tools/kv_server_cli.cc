@@ -8,6 +8,7 @@
 //   kv_server_cli --workload=b --open_loop --interval=400 --governed
 //   kv_server_cli --smoke            # small deterministic sanity run
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "src/serve/loadgen.h"
@@ -25,7 +26,6 @@ YcsbWorkload ParseWorkload(const std::string& name) {
   if (name == "c") return YcsbWorkload::kC;
   if (name == "d") return YcsbWorkload::kD;
   if (name == "f") return YcsbWorkload::kF;
-  std::cerr << "unknown workload '" << name << "' (a|b|c|d|f), using a\n";
   return YcsbWorkload::kA;
 }
 
@@ -96,10 +96,16 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool smoke = flags.GetBool("smoke", false);
+  const std::optional<std::string> workload =
+      flags.GetChoice("workload", "a", "a|b|c|d|f");
+  const std::optional<std::string> index =
+      flags.GetChoice("index", "clht", "clht|masstree");
+  if (!workload || !index) {
+    return 1;
+  }
 
   ServeConfig cfg;
-  cfg.ycsb.workload =
-      ParseWorkload(flags.GetString("workload", smoke ? "a" : "a"));
+  cfg.ycsb.workload = ParseWorkload(*workload);
   cfg.ycsb.num_keys =
       static_cast<uint64_t>(flags.GetInt("keys", smoke ? 512 : 8192));
   cfg.ycsb.value_size =
@@ -112,9 +118,7 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(flags.GetInt("arena_slots", smoke ? 64 : 512));
   cfg.ycsb.zipf_theta = flags.GetDouble("zipf_theta", cfg.ycsb.zipf_theta);
   cfg.ycsb.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  cfg.index = flags.GetString("index", "clht") == "masstree"
-                  ? ServeIndex::kMasstree
-                  : ServeIndex::kClht;
+  cfg.index = *index == "masstree" ? ServeIndex::kMasstree : ServeIndex::kClht;
   cfg.num_shards =
       static_cast<uint32_t>(flags.GetInt("shards", smoke ? 2 : 4));
   cfg.queue_slots = static_cast<uint32_t>(flags.GetInt("queue_slots", 64));
@@ -142,7 +146,7 @@ int main(int argc, char** argv) {
       flags.GetDouble("media_cycles_per_byte", 0.9);
   Machine machine(mc);
 
-  std::cout << "kv_server_cli: workload=" << flags.GetString("workload", "a")
+  std::cout << "kv_server_cli: workload=" << *workload
             << " index=" << (cfg.index == ServeIndex::kClht ? "clht"
                                                             : "masstree")
             << " shards=" << cfg.num_shards

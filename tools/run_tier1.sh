@@ -40,8 +40,8 @@ run_pass() {
 # (one fiber scheduler, DESIGN.md §12), so two runs of a bench must print
 # byte-identical output. Covers the thread- and lock-sensitive figures
 # (Fig 3's thread sweep, Fig 13's CAS publication), X9 messaging, the
-# open-loop serving path, and the sub-second Listing 2/3 and ablation
-# benches.
+# open-loop serving path, the sub-second Listing 2/3 and ablation benches,
+# and the governor's §7.4.1 and §7.4.2 benches.
 determinism_gate() {
   local build_dir="$1"
   local bench first second
@@ -49,7 +49,8 @@ determinism_gate() {
   for bench in "bench_fig13_clht_machineB" "bench_fig3_listing1 --iters=1000" \
       "bench_x9_latency" "bench_serve_ycsb" "bench_fig5_listing2" \
       "bench_pitfall_listing3" "bench_pitfall_skip" "bench_ablation_drain" \
-      "bench_ablation_replacement" "bench_ablation_bandwidth"; do
+      "bench_ablation_replacement" "bench_ablation_bandwidth" \
+      "bench_misuse_manual" "bench_overhead_useless"; do
     echo "==> determinism gate: ${bench} (${build_dir})"
     read -r -a cmd <<< "${bench}"
     first=$("./${build_dir}/bench/${cmd[0]}" "${cmd[@]:1}")
@@ -104,13 +105,10 @@ echo "==> sim-throughput smoke (bench_sim_throughput --quick)"
 ./build/bench/bench_sim_throughput --quick \
   --out=build/BENCH_sim_throughput_smoke.json >/dev/null
 
-# Cache-layout smoke: the SetBlock cache against the preserved reference
-# implementation (bench_cache_lookup exits non-zero if its randomized
-# self-check sees any divergence), plus the recorded golden digest -- the
-# engine-level proof that the layout refactor changed no simulated outcome.
-echo "==> cache-layout smoke (bench_cache_lookup --quick)"
-./build/bench/bench_cache_lookup --quick \
-  --out=build/BENCH_cache_lookup_smoke.json >/dev/null
+# Golden digest: the recorded end state of a 4-worker sequential replay.
+# (The SetBlock layout's op-for-op equivalence with its reference
+# implementation is cache_layout_equiv_test, in the ctest pass above.)
+echo "==> golden digest smoke (sim_throughput_cli --sequential)"
 gd=$(./build/tools/sim_throughput_cli --workers=4 --ops=20000 --keys=2048 \
   --shared-keys=512 --shared-fraction=0.25 --theta=0 --seed=42 --sequential \
   --digest | grep '^digest=')
@@ -161,14 +159,29 @@ echo "==> monitor smoke (bench_monitor --quick)"
   >/dev/null
 
 # Monitored serving CLI smoke plus the CLI surface on all four CLIs:
-# --help exits 0, a typo'd flag is rejected loudly instead of silently
-# running a default configuration.
+# --help exits 0, and a typo'd flag or an unknown value of an enumerated
+# flag is rejected loudly (exit 1) instead of silently running a default
+# configuration.
 echo "==> monitored serve smoke (kv_server_cli --smoke --governed --monitored)"
 ./build/tools/kv_server_cli --smoke --governed --monitored >/dev/null
 for cli in kv_server_cli kv_cluster_cli sim_throughput_cli dirtbuster; do
   ./build/tools/${cli} --help >/dev/null
   if ./build/tools/${cli} --monitered >/dev/null 2>&1; then
     echo "${cli} accepted an unknown flag" >&2
+    exit 1
+  fi
+done
+for bad in "kv_server_cli --smoke --workload=z" \
+    "kv_server_cli --smoke --index=Masstree" \
+    "kv_cluster_cli --smoke --workload=z" \
+    "sim_throughput_cli --ops=1000 --machine=B" \
+    "dirtbuster --workload=x9 --machine=Bslow" \
+    "dirtbuster --workload=nope"; do
+  read -r -a cmd <<< "${bad}"
+  rc=0
+  "./build/tools/${cmd[0]}" "${cmd[@]:1}" >/dev/null 2>&1 || rc=$?
+  if [[ "${rc}" != "1" ]]; then
+    echo "${bad}: expected exit 1 for an unknown value, got ${rc}" >&2
     exit 1
   fi
 done
@@ -190,11 +203,6 @@ if [[ "${FAST}" == "0" ]]; then
   echo "==> sim-throughput smoke (sanitized build)"
   ./build-sanitize/bench/bench_sim_throughput --quick \
     --out=build-sanitize/BENCH_sim_throughput_smoke.json >/dev/null
-  # The SetBlock placement-new lifetimes and packed-age pointer arithmetic
-  # under ASan+UBSan, via the same randomized reference self-check.
-  echo "==> cache-layout smoke (sanitized build)"
-  ./build-sanitize/bench/bench_cache_lookup --quick \
-    --out=build-sanitize/BENCH_cache_lookup_smoke.json >/dev/null
   # Monitor gates under ASan+UBSan: the sampling hot path and split/merge
   # bookkeeping run the same quick sweep.
   echo "==> monitor smoke (sanitized build)"

@@ -11,6 +11,7 @@
 // prints the machine end-state digest (the determinism-guard value).
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <string>
 
 #include "src/sim/config.h"
@@ -43,7 +44,7 @@ void PrintUsage() {
       "                       cold LLC-busting tail only (default: off —\n"
       "                       the classic uniform/zipfian key stream)\n"
       "  --seed=N             trace seed (42)\n"
-      "  --machine=A|B|Bslow  machine preset (A)\n"
+      "  --machine=A|B-fast|B-slow  machine preset (A)\n"
       "\n"
       "Execution mode (default: sliced — each worker a fiber on the\n"
       "deterministic scheduler, fixed-quantum rounds):\n"
@@ -77,6 +78,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "run with --help for the flag list\n");
     return 1;
   }
+  const std::optional<std::string> preset =
+      flags.GetChoice("machine", "A", kMachinePresetNames);
+  if (!preset) {
+    return 1;
+  }
   ReplayTraceConfig cfg;
   cfg.workers = static_cast<uint32_t>(flags.GetInt("workers", 4));
   cfg.ops_per_worker = flags.GetInt("ops", 400000);
@@ -106,10 +112,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string preset = flags.GetString("machine", "A");
-  MachineConfig mc = preset == "B"    ? MachineBFast(cfg.workers)
-                     : preset == "Bslow" ? MachineBSlow(cfg.workers)
-                                         : MachineA(cfg.workers);
+  const MachineConfig mc = *MachinePresetNamed(*preset, cfg.workers);
   Machine machine(mc);
   const ReplayTrace trace = GenerateReplayTrace(machine, cfg);
   const ReplayResult result = sequential
