@@ -32,6 +32,24 @@ class KvStore {
   virtual const char* Name() const = 0;
 };
 
+namespace kv_internal {
+
+// Values move as word runs (Core::StoreU64s and friends) through a stack
+// buffer of kChunkWords words: 1 KiB, whole lines on every machine, so an
+// aligned value's chunk seams fall on line boundaries. A value of `size`
+// bytes is ceil(size / 8) words; fn(byte_offset, words) runs per chunk.
+inline constexpr uint32_t kChunkWords = 128;
+
+template <typename Fn>
+void ForEachChunk(uint32_t size, Fn&& fn) {
+  const uint32_t words = (size + 7) / 8;
+  for (uint32_t w = 0; w < words; w += kChunkWords) {
+    fn(w * 8, std::min(kChunkWords, words - w));
+  }
+}
+
+}  // namespace kv_internal
+
 // Writes `size` bytes of key-derived payload at `dst`, sequentially —
 // the craftValue function of Listing 6. With kSkip the stores are
 // non-temporal; with kClean a clean pre-store covers the value afterwards.
@@ -39,33 +57,58 @@ inline void CraftValue(Core& core, FuncToken func, SimAddr dst, uint32_t size,
                        uint64_t key, KvWritePolicy policy) {
   ScopedFunction f(core, func);
   uint64_t word = key * 0x9e3779b97f4a7c15ULL + 1;
-  if (policy == KvWritePolicy::kSkip) {
-    for (uint32_t off = 0; off < size; off += 8) {
-      core.StoreNtU64(dst + off, word);
+  uint64_t words[kv_internal::kChunkWords];
+  kv_internal::ForEachChunk(size, [&](uint32_t off, uint32_t n) {
+    for (uint32_t i = 0; i < n; ++i) {
+      words[i] = word;
       word += key;
     }
-  } else {
-    for (uint32_t off = 0; off < size; off += 8) {
-      core.StoreU64(dst + off, word);
-      word += key;
+    if (policy == KvWritePolicy::kSkip) {
+      core.StoreNtU64s(dst + off, words, n);
+    } else {
+      core.StoreU64s(dst + off, words, n);
     }
-    if (policy == KvWritePolicy::kClean) {
-      core.Prestore(dst, size, PrestoreOp::kClean);
-    }
+  });
+  if (policy == KvWritePolicy::kClean) {
+    core.Prestore(dst, size, PrestoreOp::kClean);
   }
 }
 
+// Consumes a value: reads its words in order under `func`, then spends
+// sum % 3 + 1 ALU cycles on them — what a GET hit does with the value in
+// the YCSB driver and the serving load generators.
+inline void ReadValue(Core& core, FuncToken func, SimAddr value,
+                      uint32_t size) {
+  ScopedFunction f(core, func);
+  uint64_t sum = 0;
+  uint64_t words[kv_internal::kChunkWords];
+  kv_internal::ForEachChunk(size, [&](uint32_t off, uint32_t n) {
+    core.LoadU64s(value + off, words, n);
+    for (uint32_t i = 0; i < n; ++i) {
+      sum += words[i];
+    }
+  });
+  core.Execute(sum % 3 + 1);
+}
+
 // Checks a crafted value (functional tests): returns true when the payload
-// at `addr` matches what CraftValue(key) writes.
+// at `addr` matches what CraftValue(key) writes. A mismatch ends the check
+// at the end of its chunk.
 inline bool CheckValue(Core& core, SimAddr addr, uint32_t size, uint64_t key) {
   uint64_t word = key * 0x9e3779b97f4a7c15ULL + 1;
-  for (uint32_t off = 0; off < size; off += 8) {
-    if (core.LoadU64(addr + off) != word) {
-      return false;
+  uint64_t words[kv_internal::kChunkWords];
+  bool match = true;
+  kv_internal::ForEachChunk(size, [&](uint32_t off, uint32_t n) {
+    if (!match) {
+      return;
     }
-    word += key;
-  }
-  return true;
+    core.LoadU64s(addr + off, words, n);
+    for (uint32_t i = 0; i < n; ++i) {
+      match = match && words[i] == word;
+      word += key;
+    }
+  });
+  return match;
 }
 
 // Per-thread ring of value slots: models an allocator that recycles value

@@ -101,11 +101,11 @@ YcsbResult YcsbRun(Machine& machine, KvStore& store,
   machine.ResetStats();
   uint64_t failed_gets = 0;
   uint64_t latest_key = config.num_keys;
+  const ZipfianGenerator zipf(config.num_keys, config.zipf_theta);
 
   const uint64_t cycles = RunParallel(
       machine, config.threads, [&](Core& core, uint32_t tid) {
         Xoshiro256 rng(config.seed * 1315423911ULL + tid);
-        ZipfianGenerator zipf(config.num_keys, config.zipf_theta);
         const double read_ratio = YcsbReadRatio(config.workload);
         uint64_t local_failed = 0;
         for (uint32_t op = 0; op < config.ops_per_thread; ++op) {
@@ -124,13 +124,7 @@ YcsbResult YcsbRun(Machine& machine, KvStore& store,
               ++local_failed;
               continue;
             }
-            // Consume the value (sequential read).
-            ScopedFunction f(core, read_func);
-            uint64_t sum = 0;
-            for (uint32_t off = 0; off < config.value_size; off += 8) {
-              sum += core.LoadU64(value + off);
-            }
-            core.Execute(sum % 3 + 1);
+            ReadValue(core, read_func, value, config.value_size);
           } else {
             uint64_t put_key = key;
             if (config.workload == YcsbWorkload::kD) {
@@ -141,12 +135,7 @@ YcsbResult YcsbRun(Machine& machine, KvStore& store,
               // the replacement.
               const SimAddr old_value = store.Get(core, put_key);
               if (old_value != 0) {
-                ScopedFunction f(core, read_func);
-                uint64_t sum = 0;
-                for (uint32_t off = 0; off < config.value_size; off += 8) {
-                  sum += core.LoadU64(old_value + off);
-                }
-                core.Execute(sum % 3 + 1);
+                ReadValue(core, read_func, old_value, config.value_size);
               }
             }
             const SimAddr slot = arenas[tid]->NextSlot();

@@ -95,18 +95,6 @@ struct DriverCtx {
   std::vector<OutcomeRec> outcomes;
 };
 
-// Consumes a GET hit like the single-machine driver (sequential read of the
-// value on the SERVING node's machine) — response-value reads keep that
-// node's LLC honest about the serving mix.
-void ReadValue(Core& core, FuncToken func, SimAddr value, uint32_t size) {
-  ScopedFunction f(core, func);
-  uint64_t sum = 0;
-  for (uint32_t off = 0; off < size; off += 8) {
-    sum += core.LoadU64(value + off);
-  }
-  core.Execute(sum % 3 + 1);
-}
-
 class Driver {
  public:
   Driver(KvCluster& cluster, uint32_t driver, const ClusterRunOptions& opts,
@@ -312,6 +300,8 @@ class Driver {
       ++out_.gets;
       ++out_.phase_gets[phase];
       if (resp.status == kStatusOk) {
+        // Consume the hit on the SERVING node's machine: response-value
+        // reads keep that node's LLC honest about the serving mix.
         ReadValue(cluster_.driver_core(d_, node), read_funcs_[node],
                   resp.value_addr, cfg_.ycsb.value_size);
       } else {

@@ -26,24 +26,12 @@ struct ClientCounters {
   LatencyMeter meter;
 };
 
-// Consumes a GET hit the way the YCSB driver does (sequential read of the
-// value). This is load-bearing: response-value reads are what keep the LLC
-// honest about a serving mix — they evict cold arena lines and give the
-// governor's probes an eviction-based recovery signal.
-void ReadValue(Core& core, FuncToken func, SimAddr value, uint32_t size) {
-  ScopedFunction f(core, func);
-  uint64_t sum = 0;
-  for (uint32_t off = 0; off < size; off += 8) {
-    sum += core.LoadU64(value + off);
-  }
-  core.Execute(sum % 3 + 1);
-}
-
 class ClientSession {
  public:
   ClientSession(KvServer& server, Core& core, uint32_t client,
-                uint64_t& latest_key, FuncToken read_func,
-                ScheduleWindow& board, ClientCounters& out)
+                uint64_t& latest_key, const ZipfianGenerator& zipf,
+                FuncToken read_func, ScheduleWindow& board,
+                ClientCounters& out)
       : server_(server),
         core_(core),
         cfg_(server.config()),
@@ -53,7 +41,7 @@ class ClientSession {
         board_(board),
         out_(out),
         rng_(cfg_.ycsb.seed * 1315423911ULL + client),
-        zipf_(cfg_.ycsb.num_keys, cfg_.ycsb.zipf_theta),
+        zipf_(zipf),
         read_ratio_(YcsbReadRatio(cfg_.ycsb.workload)),
         measure_from_(core.now() + cfg_.settle_cycles) {}
 
@@ -199,6 +187,10 @@ class ClientSession {
       if (resp.status == 0) {
         ++out_.failed_gets;
       } else {
+        // Consume the hit like the YCSB driver. This is load-bearing:
+        // response-value reads are what keep the LLC honest about a
+        // serving mix — they evict cold arena lines and give the
+        // governor's probes an eviction-based recovery signal.
         ReadValue(core_, read_func_, resp.value_addr,
                   cfg_.ycsb.value_size);
       }
@@ -216,7 +208,7 @@ class ClientSession {
   ScheduleWindow& board_;
   ClientCounters& out_;
   Xoshiro256 rng_;
-  ZipfianGenerator zipf_;
+  const ZipfianGenerator& zipf_;
   const double read_ratio_;
   const uint64_t measure_from_;
   uint64_t seq_ = 0;
@@ -243,6 +235,7 @@ ServeResult ServeYcsb(Machine& machine, KvServer& server) {
   ScheduleWindow board(nclients, cfg.open_loop_interval,
                        std::max(1u, cfg.max_inflight), machine.GlobalTime());
   uint64_t latest_key = cfg.ycsb.num_keys;
+  const ZipfianGenerator zipf(cfg.ycsb.num_keys, cfg.ycsb.zipf_theta);
   const uint64_t cycles = RunParallel(
       machine, nshards + nclients, [&](Core& core, uint32_t tid) {
         if (tid < nshards) {
@@ -250,8 +243,8 @@ ServeResult ServeYcsb(Machine& machine, KvServer& server) {
           return;
         }
         const uint32_t client = tid - nshards;
-        ClientSession session(server, core, client, latest_key, read_func,
-                              board, counters[client]);
+        ClientSession session(server, core, client, latest_key, zipf,
+                              read_func, board, counters[client]);
         if (cfg.open_loop) {
           session.RunOpenLoop();
         } else {

@@ -34,6 +34,21 @@ SetAssocCache::SetAssocCache(const CacheConfig& config, uint64_t seed)
   for (uint64_t n = 0; n <= config_.ways; ++n) {
     way_mod_.emplace_back(n == 0 ? 1 : n);
   }
+  // Classic binary-tree pseudo-LRU: node 1 is the root, leaves are ways,
+  // and a touch flips each internal node on the way's path to point away
+  // from it.
+  for (uint32_t way = 0; way < config_.ways; ++way) {
+    uint64_t clear = 0;
+    uint32_t node = 1;
+    uint32_t span = config_.ways;
+    while (span > 1) {
+      span /= 2;
+      const bool right = (way % (span * 2)) >= span;
+      (right ? plru_set_[way] : clear) |= 1ULL << node;
+      node = node * 2 + (right ? 1 : 0);
+    }
+    plru_keep_[way] = ~clear;
+  }
   ages_offset_ = kSetBlockScalarBytes + kSetBlockTagBytes * config_.ways;
   meta_offset_ = SetBlockHeaderBytes(config_.ways);
   block_bytes_ = SetBlockBytes(config_.ways);

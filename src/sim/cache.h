@@ -105,15 +105,18 @@ class SetAssocCache {
     return Peek(line_addr);
   }
 
-  // Probe and, on a hit, mark the line most-recently-used.
-  CacheLineMeta* Touch(uint64_t line_addr) {
+  // Probe and, on a hit, mark the line most-recently-used. `times` > 1 is
+  // the state that many back-to-back Touch calls leave, in O(1): an LRU
+  // touch advances the set stamp by one each, and the other policies'
+  // touches are idempotent.
+  CacheLineMeta* Touch(uint64_t line_addr, uint64_t times = 1) {
     unsigned char* blk = Block(SetIndexOf(line_addr));
     const uint32_t w = FindWayIn(blk, line_addr);
     if (w == kWayNone) {
       return nullptr;
     }
     ScalarsIn(blk).way_hint = static_cast<uint8_t>(w);
-    TouchWay(blk, w);
+    TouchWay(blk, w, times);
     return &MetaIn(blk)[w];
   }
 
@@ -187,6 +190,12 @@ class SetAssocCache {
   // The set's last-hit way, 0xff when unset (tests / diagnostics only — the
   // hint is host-side state and not part of any simulated outcome).
   uint8_t DebugWayHint(uint64_t set) const { return ScalarsOf(set).way_hint; }
+  // The set's kTreePlru bits and kLru/kFifo stamp counter (tests /
+  // diagnostics only).
+  uint64_t DebugPlruBits(uint64_t set) const {
+    return ScalarsOf(set).plru_bits;
+  }
+  uint64_t DebugStamp(uint64_t set) const { return ScalarsOf(set).stamp; }
   // The packed kQuadAge age of (set, way) (tests / diagnostics only).
   uint8_t DebugAge(uint64_t set, uint32_t way) const {
     return AgesIn(Block(set))[way];
@@ -279,11 +288,12 @@ class SetAssocCache {
     return kWayNone;
   }
 
-  // Replacement-state update for a hit (inline: runs on every cache hit).
-  void TouchWay(unsigned char* blk, uint32_t way) {
+  // Replacement-state update for `times` hits (inline: runs on every cache
+  // hit).
+  void TouchWay(unsigned char* blk, uint32_t way, uint64_t times) {
     switch (config_.policy) {
       case ReplacementPolicy::kLru:
-        MetaIn(blk)[way].stamp = ++ScalarsIn(blk).stamp;
+        MetaIn(blk)[way].stamp = ScalarsIn(blk).stamp += times;
         break;
       case ReplacementPolicy::kTreePlru:
         PlruTouch(blk, way);
@@ -368,24 +378,12 @@ class SetAssocCache {
     return 0;
   }
 
-  // Tree-PLRU helpers (ways must be a power of two).
+  // Tree-PLRU helpers (ways must be a power of two). A touch points every
+  // internal node on the way's root path away from it; the masks hold those
+  // node bits per way (see the constructor).
   void PlruTouch(unsigned char* blk, uint32_t way) {
-    // Classic binary-tree pseudo-LRU: flip internal nodes to point away
-    // from the touched way. Node 1 is the root; leaves correspond to ways.
-    uint64_t bits = ScalarsIn(blk).plru_bits;
-    uint32_t node = 1;
-    uint32_t span = config_.ways;
-    while (span > 1) {
-      span /= 2;
-      const bool right = (way % (span * 2)) >= span;
-      if (right) {
-        bits |= (1ULL << node);  // 1 = "left is older"
-      } else {
-        bits &= ~(1ULL << node);
-      }
-      node = node * 2 + (right ? 1 : 0);
-    }
-    ScalarsIn(blk).plru_bits = bits;
+    uint64_t& bits = ScalarsIn(blk).plru_bits;
+    bits = (bits | plru_set_[way]) & plru_keep_[way];
   }
   uint32_t PlruVictim(const unsigned char* blk) const;
 
@@ -409,6 +407,11 @@ class SetAssocCache {
   // way_mod_[n].Mod(r) == r % n for n in [1, ways]: exact magic-multiply
   // remainders for the victim-candidate draw (PickVictim). Index 0 unused.
   std::vector<ModReciprocal> way_mod_;
+  // PlruTouch's masks: plru_set_[w] has the node bits a touch of way w sets
+  // (the path turns right: "left is older"), plru_keep_[w] is zero exactly
+  // at the bits it clears.
+  uint64_t plru_set_[64] = {};
+  uint64_t plru_keep_[64] = {};
 
   // SetBlock geometry (see config.h): ages_offset_ = scalars + tags,
   // meta_offset_ = SetBlockHeaderBytes, block_bytes_ = SetBlockBytes (the

@@ -214,6 +214,8 @@ class Machine {
   // Sorted addresses of every line currently valid in the LLC. Diagnostics
   // and determinism digests only — call when no cores are running.
   std::vector<uint64_t> LlcValidLines() const;
+  // The LLC itself, read-only (tests comparing whole cache states).
+  const SetAssocCache& llc() const { return *llc_; }
 
  private:
   // Hit-path coherence protocol: hit accounting, intervention on a

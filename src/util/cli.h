@@ -3,6 +3,7 @@
 #define SRC_UTIL_CLI_H_
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -39,22 +40,53 @@ class CliFlags {
     return it == flags_.end() ? fallback : it->second;
   }
 
+  // The numeric and boolean getters exit 1 (RejectMalformed) on a value
+  // that does not parse completely, so "--workers=abc" or
+  // "--batched_clean=ture" cannot silently run another configuration.
   int64_t GetInt(const std::string& key, int64_t fallback) const {
     auto it = flags_.find(key);
-    return it == flags_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+    if (it == flags_.end()) {
+      return fallback;
+    }
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long long value = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE) {
+      RejectMalformed(key, it->second);
+    }
+    return value;
   }
 
   double GetDouble(const std::string& key, double fallback) const {
     auto it = flags_.find(key);
-    return it == flags_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+    if (it == flags_.end()) {
+      return fallback;
+    }
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE) {
+      RejectMalformed(key, it->second);
+    }
+    return value;
   }
 
+  // true|1|yes or false|0|no; a bare --flag reads as true.
   bool GetBool(const std::string& key, bool fallback) const {
     auto it = flags_.find(key);
     if (it == flags_.end()) {
       return fallback;
     }
-    return it->second == "true" || it->second == "1" || it->second == "yes";
+    const std::string& v = it->second;
+    if (v == "true" || v == "1" || v == "yes") {
+      return true;
+    }
+    if (v != "false" && v != "0" && v != "no") {
+      RejectMalformed(key, v);
+    }
+    return false;
   }
 
   bool Has(const std::string& key) const { return flags_.count(key) > 0; }
@@ -86,6 +118,15 @@ class CliFlags {
                  static_cast<int>(key.size()), key.data(),
                  static_cast<int>(value.size()), value.data(),
                  static_cast<int>(accepted.size()), accepted.data());
+  }
+
+  // Reports a numeric or boolean value that does not parse and exits 1.
+  [[noreturn]] static void RejectMalformed(std::string_view key,
+                                           std::string_view value) {
+    std::fprintf(stderr, "invalid --%.*s value '%.*s'\n",
+                 static_cast<int>(key.size()), key.data(),
+                 static_cast<int>(value.size()), value.data());
+    std::exit(1);
   }
 
   // Flags that were passed but are not in `known` ("help" is always known).

@@ -36,6 +36,43 @@ TEST(Cli, DoubleAndBoolParsing) {
   EXPECT_TRUE(flags.GetBool("one", false));
 }
 
+TEST(Cli, BoolAcceptsNoAndZero) {
+  const char* argv[] = {"prog", "--a=no", "--b=0", "--c=yes"};
+  CliFlags flags(4, const_cast<char**>(argv));
+  EXPECT_FALSE(flags.GetBool("a", true));
+  EXPECT_FALSE(flags.GetBool("b", true));
+  EXPECT_TRUE(flags.GetBool("c", false));
+}
+
+TEST(Cli, NegativeAndExponentNumbersParse) {
+  const char* argv[] = {"prog", "--n=-7", "--x=1e-3"};
+  CliFlags flags(3, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("n", 0), -7);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("x", 0), 1e-3);
+}
+
+TEST(CliDeathTest, MalformedValuesExitOne) {
+  const char* argv[] = {"prog",          "--workers=abc",
+                        "--ops=100x",    "--theta=0.5.1",
+                        "--empty=",      "--batched_clean=ture",
+                        "--iters"};
+  CliFlags flags(7, const_cast<char**>(argv));
+  EXPECT_EXIT(flags.GetInt("workers", 1), ::testing::ExitedWithCode(1),
+              "invalid --workers value 'abc'");
+  EXPECT_EXIT(flags.GetInt("ops", 1), ::testing::ExitedWithCode(1),
+              "invalid --ops value '100x'");
+  EXPECT_EXIT(flags.GetDouble("theta", 0), ::testing::ExitedWithCode(1),
+              "invalid --theta value '0.5.1'");
+  EXPECT_EXIT(flags.GetDouble("empty", 0), ::testing::ExitedWithCode(1),
+              "invalid --empty value ''");
+  EXPECT_EXIT(flags.GetBool("batched_clean", true),
+              ::testing::ExitedWithCode(1),
+              "invalid --batched_clean value 'ture'");
+  // A bare flag reads as "true", which is no number.
+  EXPECT_EXIT(flags.GetInt("iters", 1), ::testing::ExitedWithCode(1),
+              "invalid --iters value 'true'");
+}
+
 TEST(Cli, UnknownFlagsFlagsTypos) {
   const char* argv[] = {"prog", "--iters=500", "--monitered", "--smoke"};
   CliFlags flags(4, const_cast<char**>(argv));

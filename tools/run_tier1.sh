@@ -39,14 +39,16 @@ run_pass() {
 # Determinism gate: every simulated run is a pure function of its inputs
 # (one fiber scheduler, DESIGN.md §12), so two runs of a bench must print
 # byte-identical output. Covers the thread- and lock-sensitive figures
-# (Fig 3's thread sweep, Fig 13's CAS publication), X9 messaging, the
-# open-loop serving path, the sub-second Listing 2/3 and ablation benches,
-# and the governor's §7.4.1 and §7.4.2 benches.
+# (Fig 3's thread sweep, Fig 13's CAS publication, Fig 14's weak-ordering
+# store buffer), X9 messaging, the open-loop serving path, the sub-second
+# Listing 2/3 and ablation benches, and the governor's §7.4.1 and §7.4.2
+# benches.
 determinism_gate() {
   local build_dir="$1"
   local bench first second
   local -a cmd
-  for bench in "bench_fig13_clht_machineB" "bench_fig3_listing1 --iters=1000" \
+  for bench in "bench_fig13_clht_machineB" "bench_fig14_masstree_machineB" \
+      "bench_fig3_listing1 --iters=1000" \
       "bench_x9_latency" "bench_serve_ycsb" "bench_fig5_listing2" \
       "bench_pitfall_listing3" "bench_pitfall_skip" "bench_ablation_drain" \
       "bench_ablation_replacement" "bench_ablation_bandwidth" \
@@ -159,9 +161,9 @@ echo "==> monitor smoke (bench_monitor --quick)"
   >/dev/null
 
 # Monitored serving CLI smoke plus the CLI surface on all four CLIs:
-# --help exits 0, and a typo'd flag or an unknown value of an enumerated
-# flag is rejected loudly (exit 1) instead of silently running a default
-# configuration.
+# --help exits 0, and a typo'd flag, an unknown value of an enumerated flag
+# or a malformed numeric or boolean value is rejected loudly (exit 1)
+# instead of silently running another configuration.
 echo "==> monitored serve smoke (kv_server_cli --smoke --governed --monitored)"
 ./build/tools/kv_server_cli --smoke --governed --monitored >/dev/null
 for cli in kv_server_cli kv_cluster_cli sim_throughput_cli dirtbuster; do
@@ -176,12 +178,14 @@ for bad in "kv_server_cli --smoke --workload=z" \
     "kv_cluster_cli --smoke --workload=z" \
     "sim_throughput_cli --ops=1000 --machine=B" \
     "dirtbuster --workload=x9 --machine=Bslow" \
-    "dirtbuster --workload=nope"; do
+    "dirtbuster --workload=nope" \
+    "sim_throughput_cli --workers=abc --ops=100" \
+    "kv_server_cli --smoke --batched_clean=ture"; do
   read -r -a cmd <<< "${bad}"
   rc=0
   "./build/tools/${cmd[0]}" "${cmd[@]:1}" >/dev/null 2>&1 || rc=$?
   if [[ "${rc}" != "1" ]]; then
-    echo "${bad}: expected exit 1 for an unknown value, got ${rc}" >&2
+    echo "${bad}: expected exit 1 for a bad value, got ${rc}" >&2
     exit 1
   fi
 done
